@@ -12,7 +12,8 @@
 //
 // This binary carries its own main: with --json=PATH it first times the
 // canonical serving workload (100k points, d=8, ℓ=64, 32-query block) on
-// the AoS per-query path, the fused SoA batch path, the work-stealing
+// the AoS per-query path, the fused SoA batch path (plus one d=32 row for
+// the dynamic-dimension kernel), the work-stealing
 // parallel batch path (threads recorded in the workload stanza — the
 // parallel-vs-serial ratio only means something at 4+ hardware threads),
 // and the kd-tree/FlatStore hybrid, and writes the medians to PATH — the
@@ -270,9 +271,10 @@ BENCHMARK(BM_SoaFusedTopEllBatchIsa)
     ->Args({1 << 16, 8, 64, 32, 1})
     ->Args({1 << 16, 8, 64, 32, 2});
 
-/// Whole query block tiled over the work-stealing pool (hardware threads,
-/// query_block 4).  Compare against BM_SoaFusedTopEllBatch for the
-/// parallel-vs-serial scaling row; output bytes are identical.
+/// Whole query block over the work-stealing pool (hardware threads, the
+/// auto point-major grid: row slabs × the whole batch).  Compare against
+/// BM_SoaFusedTopEllBatch for the parallel-vs-serial scaling row; output
+/// bytes are identical.
 void BM_SoaFusedTopEllBatchParallel(benchmark::State& state) {
   const auto num_queries = static_cast<std::size_t>(state.range(3));
   const auto fx = make_scoring_fixture(static_cast<std::size_t>(state.range(0)),
@@ -280,7 +282,7 @@ void BM_SoaFusedTopEllBatchParallel(benchmark::State& state) {
   const auto ell = static_cast<std::uint64_t>(state.range(2));
   const auto indexes = make_shard_indexes({fx.shard}, ScoringPolicy::Brute);
   ThreadPool pool;  // persistent across iterations: measure scoring, not spawn
-  BatchScoringConfig config{.query_block = 4};
+  BatchScoringConfig config;
   config.pool = &pool;
   for (auto _ : state) {
     auto out = score_vector_shards_batch(indexes, fx.queries, ell, MetricKind::Euclidean, config);
@@ -486,18 +488,30 @@ int emit_bench_json(const std::string& path) {
     isa_rows.emplace_back(std::string("soa_fused_batch_") + simd::isa_name(isa), timing);
   }
 
-  // Parallel brute: the same fused kernels, shard × query-block tiles over
-  // the work-stealing pool.  On fewer than 4 hardware threads the ratio
-  // would measure pool overhead, not scaling (the ROADMAP's ≥2× target is
-  // conditioned on 4+), so the row is recorded as explicitly skipped
-  // (JSON null) instead of polluting the perf trajectory.
+  // Dynamic-dimension row: the same fused batch at d=32, past the
+  // fixed-dimension kernel table (d ≤ 16) — the multi-query register
+  // blocks' runtime j-loop.  ns_per_point is per point-query, as above.
+  constexpr std::size_t kWideDim = 32;
+  const auto wide = make_scoring_fixture(kPoints, kWideDim, kQueries);
+  const PathTiming fused_wide = time_path(kRepeats, kPoints, kQueries, [&] {
+    fused_top_ell_batch(wide.store, wide.queries, kEll, MetricKind::Euclidean, out, scratch);
+    benchmark::DoNotOptimize(out);
+  });
+
+  // Parallel brute: the same fused kernels over the work-stealing pool on
+  // the auto point-major grid (row slabs, each scoring the whole batch).
+  // On fewer than 4 hardware threads the ratio would measure pool
+  // overhead, not scaling (the ROADMAP's ≥2× target is conditioned on
+  // 4+), so the row is recorded as explicitly skipped (JSON null) instead
+  // of polluting the perf trajectory; bench/check_kernels_schema.py
+  // rejects a null row at 4+ threads.
   const std::size_t threads =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
   std::optional<PathTiming> parallel;
   if (threads >= 4) {
     const auto indexes = make_shard_indexes({fx.shard}, ScoringPolicy::Brute);
     ThreadPool pool;  // persistent, like a serving loop: spawn cost amortizes
-    BatchScoringConfig par_config{.query_block = 4};
+    BatchScoringConfig par_config;
     par_config.pool = &pool;
     parallel = time_path(kRepeats, kPoints, kQueries, [&] {
       auto scored =
@@ -542,6 +556,7 @@ int emit_bench_json(const std::string& path) {
   rows.emplace_back("soa_materialized", soa_mat);
   rows.emplace_back("soa_fused_batch", fused);
   for (const auto& row : isa_rows) rows.push_back(row);
+  rows.emplace_back("soa_fused_batch_d32", fused_wide);
   rows.emplace_back("soa_fused_batch_parallel", parallel);
   rows.emplace_back("kdtree_hybrid", hybrid);
   rows.emplace_back("facade_query_batch", facade);
@@ -586,6 +601,7 @@ int emit_bench_json(const std::string& path) {
   for (const auto& row : isa_rows) {
     std::printf(", %s %.2f ms", row.first.c_str(), row.second->median_ms);
   }
+  std::printf(", soa_fused_batch_d32 %.2f ms", fused_wide.median_ms);
   if (parallel.has_value()) {
     std::printf(", parallel %.2f ms @%zu threads", parallel->median_ms, threads);
   } else {

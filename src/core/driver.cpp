@@ -308,35 +308,45 @@ void score_tile(const ShardIndex& index, std::span<const PointD> queries, std::u
                       scratch);
 }
 
-/// Default BatchScoringConfig::shard_split_rows: big enough that the merge
-/// overhead is noise, small enough that a few-hundred-thousand-point shard
-/// splits into several rebalanceable pieces.
-constexpr std::size_t kDefaultShardSplitRows = 1u << 16;
+/// Smallest auto slab: kSlabRowsPerEll rows per heap entry, and never
+/// below kMinSlabRows.  Every slab pays a heap warm-up per query — about
+/// ℓ·(1 + ln(rows/ℓ)) accepts before its threshold settles, ~30 µs at
+/// ℓ = 64 — plus its share of the merge; smaller slabs spend more on that
+/// than the parallelism they add saves (measured on 100k×d8 and 400k×d32
+/// stores at 4 threads).
+constexpr std::size_t kSlabRowsPerEll = 512;
+constexpr std::size_t kMinSlabRows = 4096;
 
-/// Shared tiling engine of the batched scoring overloads: runs
-/// `score(m, query_subspan, keys, scratch)` over every (machine,
-/// query-block) tile — serial shard-outer below the parallel threshold,
-/// otherwise tiled over the work-stealing pool.  Each task owns disjoint
-/// pre-sized slots, so the assembled result is independent of the steal
-/// schedule.
+/// Shared tiling engine of the batched scoring overloads — serial
+/// shard-outer below the parallel threshold, otherwise tiled over the
+/// work-stealing pool.  Each task owns disjoint pre-sized slots, so the
+/// assembled result is independent of the steal schedule.
 ///
-/// Point-range subtiles (the "one huge shard serializes its column scans"
-/// fix): on the pool path, a machine whose `splittable_rows(m)` exceeds
-/// the split threshold is scored as several independent row ranges via
-/// `score_range(m, lo, hi, query_subspan, keys, scratch)`; each range's
+/// Point-major tiling: on the pool path a machine whose
+/// `scanned_store(m)` is a non-empty FlatStore (a brute-scanned shard) is
+/// cut into row slabs, and each task scores one slab against the whole
+/// query batch through fused_top_ell_ranges — the batched range kernel
+/// loads each column once per register block of queries, so the batch
+/// shares every column pass.  Auto slabs hold about
+/// (all machines' scanned rows) ÷ (4 × threads) rows, but at least
+/// 512·ℓ, so the pool gets up to ~4 tasks per worker to rebalance; an
+/// explicit `shard_split_rows` sets the slab size and an explicit
+/// `query_block` also cuts the batch.  Each slab's
 /// local top-ℓ lists land in their own pre-sized slots and merge into the
 /// machine's final [query][machine] slot after the barrier.  Merging is
 /// byte-exact: keys are globally distinct, and any global top-ℓ key inside
-/// a range is by definition inside that range's top-ℓ, so the ℓ smallest
-/// of the concatenated range winners equal the unsplit scan's answer
-/// (fuzzed against the unsplit grid in tests/test_parity.cpp).
-/// `splittable_rows(m) == 0` marks a machine opaque (tree-indexed shards,
-/// serve snapshots) — it is always scored whole.
-template <typename ScoreTile, typename SplittableRows, typename ScoreRange>
+/// a slab is by definition inside that slab's top-ℓ, so the ℓ smallest of
+/// the concatenated slab winners equal the unsplit scan's answer (fuzzed
+/// against the unsplit grid in tests/test_parity.cpp).
+/// A null or empty `scanned_store(m)` marks a machine opaque (tree-indexed
+/// and approx shards, serve snapshots, skipped machines): it is scored
+/// whole by `score(m, query_subspan, keys, scratch)` in query blocks of
+/// about Q ÷ (4 × threads).  The serial path scores every machine whole.
+template <typename ScoreTile, typename ScannedStore>
 std::vector<std::vector<std::vector<Key>>> score_tiled_grid(
-    std::size_t machines, std::span<const PointD> queries, std::uint64_t ell,
+    std::size_t machines, std::span<const PointD> queries, std::uint64_t ell, MetricKind kind,
     const BatchScoringConfig& config, const ScoreTile& score,
-    const SplittableRows& splittable_rows, const ScoreRange& score_range) {
+    const ScannedStore& scanned_store) {
   std::vector<std::vector<std::vector<Key>>> out(queries.size());
   for (auto& per_shard : out) per_shard.resize(machines);
   if (queries.empty() || machines == 0) return out;
@@ -365,24 +375,41 @@ std::vector<std::vector<std::vector<Key>>> score_tiled_grid(
     pool = owned.get();
   }
 
-  // ~4 tasks per worker leaves the pool room to rebalance shards of
-  // uneven size.
-  const std::size_t block =
+  const std::size_t tasks_target = threads * 4;
+  // Query blocks: opaque machines tile the batch (~4 tasks per worker);
+  // slabs already give the pool its tasks, so they take the whole batch.
+  const std::size_t opaque_block =
       config.query_block != 0
           ? config.query_block
-          : std::max<std::size_t>(1, (queries.size() + threads * 4 - 1) / (threads * 4));
-  const std::size_t split_rows =
-      config.shard_split_rows != 0 ? config.shard_split_rows : kDefaultShardSplitRows;
+          : std::max<std::size_t>(1, (queries.size() + tasks_target - 1) / tasks_target);
+  const std::size_t slab_block = config.query_block != 0 ? config.query_block : queries.size();
 
-  // partials[m][piece][q] = piece's local top-ℓ for query q (split machines
-  // only; whole machines write out[q][m] directly).  All slots are sized
-  // before any task runs.
-  std::vector<std::vector<std::vector<std::vector<Key>>>> partials(machines);
-  std::vector<std::size_t> pieces_of(machines, 1);
+  // stores[m] = the machine's scanned store (null = opaque); pieces_of[m]
+  // = its slab count.  partials[m][piece][q] = slab's local top-ℓ for
+  // query q (machines of two or more slabs only; the rest write out[q][m]
+  // directly).  All slots are sized before any task runs.
+  std::vector<const FlatStore*> stores(machines);
+  std::size_t total_rows = 0;
   for (std::size_t m = 0; m < machines; ++m) {
-    const std::size_t rows = splittable_rows(m);
-    if (rows > split_rows) {
-      pieces_of[m] = (rows + split_rows - 1) / split_rows;
+    const FlatStore* store = scanned_store(m);
+    if (store != nullptr && !store->empty()) {
+      stores[m] = store;
+      total_rows += store->size();
+    }
+  }
+  const std::size_t min_slab = std::max(
+      kMinSlabRows,
+      kSlabRowsPerEll * static_cast<std::size_t>(std::min<std::uint64_t>(ell, total_rows)));
+  const std::size_t slab =
+      config.shard_split_rows != 0
+          ? config.shard_split_rows
+          : std::max(min_slab, (total_rows + tasks_target - 1) / tasks_target);
+  std::vector<std::size_t> pieces_of(machines, 1);
+  std::vector<std::vector<std::vector<std::vector<Key>>>> partials(machines);
+  for (std::size_t m = 0; m < machines; ++m) {
+    if (stores[m] == nullptr) continue;
+    pieces_of[m] = (stores[m]->size() + slab - 1) / slab;
+    if (pieces_of[m] > 1) {
       partials[m].assign(pieces_of[m], std::vector<std::vector<Key>>(queries.size()));
     }
   }
@@ -394,10 +421,11 @@ std::vector<std::vector<std::vector<Key>>> score_tiled_grid(
   // sustained load).  The group waits for exactly this call's tiles.
   ThreadPool::TaskGroup tiles(*pool);
   for (std::size_t m = 0; m < machines; ++m) {
-    const std::size_t pieces = pieces_of[m];
+    const FlatStore* store = stores[m];
+    const std::size_t block = store == nullptr ? opaque_block : slab_block;
     for (std::size_t q0 = 0; q0 < queries.size(); q0 += block) {
       const std::size_t len = std::min(block, queries.size() - q0);
-      if (pieces == 1) {
+      if (store == nullptr) {
         tiles.submit([&out, &score, queries, m, q0, len] {
           KernelScratch scratch;
           std::vector<std::vector<Key>> keys;
@@ -406,17 +434,21 @@ std::vector<std::vector<std::vector<Key>>> score_tiled_grid(
         });
         continue;
       }
-      const std::size_t rows = splittable_rows(m);
+      const std::size_t rows = store->size();
+      const std::size_t pieces = pieces_of[m];
       for (std::size_t piece = 0; piece < pieces; ++piece) {
-        // Balanced ranges: piece p covers [p·rows/pieces, (p+1)·rows/pieces).
-        const std::size_t lo = piece * rows / pieces;
-        const std::size_t hi = (piece + 1) * rows / pieces;
-        tiles.submit([&partials, &score_range, queries, m, piece, lo, hi, q0, len] {
+        // Balanced slabs: piece p covers [p·rows/pieces, (p+1)·rows/pieces).
+        const RowRange slab_rows{piece * rows / pieces, (piece + 1) * rows / pieces};
+        tiles.submit([&out, &partials, store, queries, ell, kind, m, pieces, piece, slab_rows,
+                      q0, len] {
           KernelScratch scratch;
           std::vector<std::vector<Key>> keys;
-          score_range(m, lo, hi, queries.subspan(q0, len), keys, scratch);
+          fused_top_ell_ranges(*store, std::span<const RowRange>(&slab_rows, 1),
+                               queries.subspan(q0, len), static_cast<std::size_t>(ell), kind,
+                               keys, scratch);
           for (std::size_t i = 0; i < len; ++i) {
-            partials[m][piece][q0 + i] = std::move(keys[i]);
+            auto& slot = pieces == 1 ? out[q0 + i][m] : partials[m][piece][q0 + i];
+            slot = std::move(keys[i]);
           }
         });
       }
@@ -424,7 +456,7 @@ std::vector<std::vector<std::vector<Key>>> score_tiled_grid(
   }
   tiles.wait();
 
-  // Merge pass for split machines: ℓ smallest of the concatenated range
+  // Merge pass for split machines: ℓ smallest of the concatenated slab
   // winners, per query.
   std::vector<Key> pooled;
   for (std::size_t m = 0; m < machines; ++m) {
@@ -442,39 +474,28 @@ std::vector<std::vector<std::vector<Key>>> score_tiled_grid(
   return out;
 }
 
+/// The store a shard brute-scans, or null when the slab splitter must
+/// treat it as opaque: a kd-tree shard's traversal is hierarchical, not a
+/// row scan, and an approx shard's beam search walks the whole graph from
+/// fixed seeds.
+const FlatStore* scanned_store(const ShardIndex& index, bool approx) {
+  if (index.has_tree() || (approx && index.ann != nullptr)) return nullptr;
+  return &index.store();
+}
+
 }  // namespace
 
 std::vector<std::vector<std::vector<Key>>> score_vector_shards_batch(
     const std::vector<ShardIndex>& indexes, std::span<const PointD> queries, std::uint64_t ell,
     MetricKind kind, const BatchScoringConfig& config) {
   return score_tiled_grid(
-      indexes.size(), queries, ell, config,
+      indexes.size(), queries, ell, kind, config,
       [&indexes, ell, kind, &config](std::size_t m, std::span<const PointD> block,
                                      std::vector<std::vector<Key>>& keys,
                                      KernelScratch& scratch) {
         score_tile(indexes[m], block, ell, kind, config.approx, keys, scratch);
       },
-      // Only brute-scanned shards split: a kd-tree shard's traversal is
-      // hierarchical, not a row scan, and an approx shard's beam search
-      // walks the whole graph from fixed seeds.
-      [&indexes, &config](std::size_t m) -> std::size_t {
-        if (indexes[m].has_tree()) return 0;
-        if (config.approx && indexes[m].ann != nullptr) return 0;
-        return indexes[m].store().size();
-      },
-      [&indexes, ell, kind](std::size_t m, std::size_t lo, std::size_t hi,
-                            std::span<const PointD> block, std::vector<std::vector<Key>>& keys,
-                            KernelScratch& scratch) {
-        // Row-range subtile: the same bounded-heap kernels the kd-hybrid
-        // and the serve live-run path use, over [lo, hi) of the SoA store.
-        const FlatStore& store = indexes[m].store();
-        keys.resize(block.size());
-        for (std::size_t i = 0; i < block.size(); ++i) {
-          RangeTopEll scorer(store, block[i], static_cast<std::size_t>(ell), kind, scratch);
-          scorer.score_range(lo, hi);
-          scorer.finish(keys[i]);
-        }
-      });
+      [&indexes, &config](std::size_t m) { return scanned_store(indexes[m], config.approx); });
 }
 
 std::vector<std::vector<std::vector<Key>>> score_serve_snapshots_batch(
@@ -484,7 +505,7 @@ std::vector<std::vector<std::vector<Key>>> score_serve_snapshots_batch(
     DKNN_REQUIRE(snapshot != nullptr, "score_serve_snapshots_batch: null snapshot");
   }
   return score_tiled_grid(
-      snapshots.size(), queries, ell, config,
+      snapshots.size(), queries, ell, kind, config,
       [&snapshots, ell, kind, &config](std::size_t m, std::span<const PointD> block,
                                        std::vector<std::vector<Key>>& keys,
                                        KernelScratch& scratch) {
@@ -498,11 +519,7 @@ std::vector<std::vector<std::vector<Key>>> score_serve_snapshots_batch(
       },
       // Snapshots are opaque to the splitter: segmentation already bounds
       // scan length per segment, and compaction governs segment size.
-      [](std::size_t) -> std::size_t { return 0; },
-      [](std::size_t, std::size_t, std::size_t, std::span<const PointD>,
-         std::vector<std::vector<Key>>&, KernelScratch&) {
-        panic("score_serve_snapshots_batch: snapshots never split");
-      });
+      [](std::size_t) -> const FlatStore* { return nullptr; });
 }
 
 namespace {
@@ -544,7 +561,7 @@ GuardedScoreBatch score_vector_shards_batch_guarded(
   GuardedScoreBatch out;
   const std::vector<char> skip = guard_machines(health, indexes.size(), out.coverage);
   out.scored = score_tiled_grid(
-      indexes.size(), queries, ell, config,
+      indexes.size(), queries, ell, kind, config,
       [&indexes, &skip, ell, kind, &config](std::size_t m, std::span<const PointD> block,
                                             std::vector<std::vector<Key>>& keys,
                                             KernelScratch& scratch) {
@@ -554,22 +571,9 @@ GuardedScoreBatch score_vector_shards_batch_guarded(
         }
         score_tile(indexes[m], block, ell, kind, config.approx, keys, scratch);
       },
-      [&indexes, &skip, &config](std::size_t m) -> std::size_t {
-        if (skip[m]) return 0;  // skipped machines never split
-        if (indexes[m].has_tree()) return 0;
-        if (config.approx && indexes[m].ann != nullptr) return 0;
-        return indexes[m].store().size();
-      },
-      [&indexes, ell, kind](std::size_t m, std::size_t lo, std::size_t hi,
-                            std::span<const PointD> block, std::vector<std::vector<Key>>& keys,
-                            KernelScratch& scratch) {
-        const FlatStore& store = indexes[m].store();
-        keys.resize(block.size());
-        for (std::size_t i = 0; i < block.size(); ++i) {
-          RangeTopEll scorer(store, block[i], static_cast<std::size_t>(ell), kind, scratch);
-          scorer.score_range(lo, hi);
-          scorer.finish(keys[i]);
-        }
+      [&indexes, &skip, &config](std::size_t m) {
+        // Skipped machines stay opaque, so score() writes their empty slots.
+        return skip[m] ? nullptr : scanned_store(indexes[m], config.approx);
       });
   return out;
 }
@@ -594,7 +598,7 @@ GuardedScoreBatch score_serve_snapshots_batch_guarded(
   }
   if (missing_merged) std::sort(out.coverage.missing.begin(), out.coverage.missing.end());
   out.scored = score_tiled_grid(
-      snapshots.size(), queries, ell, config,
+      snapshots.size(), queries, ell, kind, config,
       [&snapshots, &skip, ell, kind, &config](std::size_t m, std::span<const PointD> block,
                                               std::vector<std::vector<Key>>& keys,
                                               KernelScratch& scratch) {
@@ -610,11 +614,7 @@ GuardedScoreBatch score_serve_snapshots_batch_guarded(
                                  keys, scratch);
         }
       },
-      [](std::size_t) -> std::size_t { return 0; },
-      [](std::size_t, std::size_t, std::size_t, std::span<const PointD>,
-         std::vector<std::vector<Key>>&, KernelScratch&) {
-        panic("score_serve_snapshots_batch_guarded: snapshots never split");
-      });
+      [](std::size_t) -> const FlatStore* { return nullptr; });
   return out;
 }
 

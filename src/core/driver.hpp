@@ -201,26 +201,32 @@ struct BatchScoringConfig {
   /// hardware concurrency, else exactly that many.  Ignored when `pool`
   /// is set.
   std::size_t threads = 1;
-  /// Queries per task tile; 0 = auto (targets ~4 tasks per worker so
-  /// work stealing can rebalance uneven shards).
+  /// Queries per task tile; 0 = auto: a brute-scanned shard's row slabs
+  /// each take the whole batch (point-major — one column pass per
+  /// register block of queries), and opaque shards (kd-tree, approx,
+  /// serve snapshots) tile the batch at ~4 tasks per worker so work
+  /// stealing can rebalance uneven shards.
   std::size_t query_block = 0;
   /// Seed for the pool's victim-selection streams (reproducibility only —
   /// results are schedule-independent by construction).  Ignored when
   /// `pool` is set.
   std::uint64_t seed = ThreadPool::kDefaultSeed;
   /// Externally-owned pool to score on, amortizing thread spawn across
-  /// batches in a serving loop.  The call barriers on it via wait_idle(),
-  /// so don't share a pool that other threads submit to concurrently.
+  /// batches in a serving loop.  The call waits only for its own tasks
+  /// (a per-call ThreadPool::TaskGroup, not a pool-wide barrier), so
+  /// several threads may score on one shared pool concurrently — the
+  /// KnnService read path does exactly that.
   ThreadPool* pool = nullptr;
-  /// Point-range subtile threshold for the parallel grid.  A brute-scanned
-  /// shard with more rows than this is scored as ⌈rows/threshold⌉
-  /// independent row ranges whose per-range top-ℓ lists merge into the
-  /// shard's slot — so one giant shard no longer serializes its column
-  /// scans on a single worker.  0 = auto (64 Ki rows).  Merging changes no
-  /// output byte (keys are globally distinct and each range's top-ℓ
-  /// contains every global winner inside it — fuzzed against the unsplit
-  /// grid in tests/test_parity.cpp); only the serial path and tree-indexed
-  /// shards stay whole (column streaming / hierarchical traversal).
+  /// Row-slab size for the parallel grid.  A brute-scanned shard with
+  /// more rows than this is scored as ⌈rows/threshold⌉ independent row
+  /// slabs whose per-slab top-ℓ lists merge into the shard's slot — so one
+  /// giant shard no longer serializes its column scans on a single
+  /// worker.  0 = auto: about (all shards' scanned rows) ÷ (4 × threads),
+  /// at least max(4096, 512·ℓ) rows.  Merging changes no output byte (keys
+  /// are globally distinct and each slab's top-ℓ contains every global winner
+  /// inside it — fuzzed against the unsplit grid in tests/test_parity.cpp);
+  /// only the serial path and opaque shards (kd-tree, approx) stay whole
+  /// (column streaming / hierarchical traversal).
   std::size_t shard_split_rows = 0;
   /// Approximate routing (the ANN tier).  UNLIKE every other knob in this
   /// struct, this one changes answer bytes: shards / serve segments that
@@ -233,8 +239,9 @@ struct BatchScoringConfig {
   bool approx = false;
 };
 
-/// Policy-aware, optionally parallel batched scoring.  Tiles the
-/// shard × query-block grid over a work-stealing pool; every task writes
+/// Policy-aware, optionally parallel batched scoring.  Tiles the grid over
+/// a work-stealing pool — row slab × whole batch for brute-scanned
+/// shards, shard × query block for the rest; every task writes
 /// its own pre-sized [query][shard] slots, so the output is byte-identical
 /// to the serial brute path regardless of policy, thread count, or
 /// schedule (fuzzed across paths in tests/test_parity.cpp).

@@ -46,12 +46,12 @@ struct ColumnPointers {
 };
 
 void batch_impl(const KernelOps& ops, MetricKind kind, const FlatStore& store,
-                std::span<const PointD> queries, std::size_t cap,
-                std::vector<std::vector<Key>>& out, KernelScratch& scratch) {
-  const std::size_t n = store.size();
+                std::span<const RowRange> ranges, std::span<const PointD> queries,
+                std::size_t cap, std::vector<std::vector<Key>>& out, KernelScratch& scratch) {
+  constexpr std::size_t kBlock = simd::kMaxQueryBlock;
   const std::size_t d = store.dim();
   const std::size_t num_queries = queries.size();
-  scratch.dist.resize(kTile);
+  scratch.dist.resize(std::min(kBlock, num_queries) * kTile);
   scratch.heaps.resize(num_queries * cap);
   scratch.heap_sizes.assign(num_queries, 0);
   const PointId* ids = store.ids().data();
@@ -60,14 +60,24 @@ void batch_impl(const KernelOps& ops, MetricKind kind, const FlatStore& store,
   // Rejection thresholds, one per query (+∞ until that heap fills).
   scratch.thresholds.assign(num_queries, std::numeric_limits<double>::infinity());
 
-  for (std::size_t t0 = 0; t0 < n; t0 += kTile) {
-    const std::size_t m = std::min(kTile, n - t0);
-    for (std::size_t q = 0; q < num_queries; ++q) {
-      ops.tile_scores(kind, cols.get(), queries[q].coords.data(), d, t0, m,
-                      scratch.dist.data());
-      HeapState heap{scratch.heaps.data() + q * cap, scratch.heap_sizes[q], cap};
-      ops.heap_update(kind, heap, scratch.thresholds[q], scratch.dist.data(), ids + t0, m);
-      scratch.heap_sizes[q] = heap.size;
+  for (const auto& [lo, hi] : ranges) {
+    for (std::size_t t0 = lo; t0 < hi; t0 += kTile) {
+      const std::size_t m = std::min(kTile, hi - t0);
+      // One column pass per register block of queries, then each query's
+      // scored row streams into its own heap.
+      for (std::size_t q0 = 0; q0 < num_queries; q0 += kBlock) {
+        const std::size_t nq = std::min(kBlock, num_queries - q0);
+        const double* block[kBlock];
+        for (std::size_t i = 0; i < nq; ++i) block[i] = queries[q0 + i].coords.data();
+        ops.tile_scores_batch(kind, cols.get(), block, nq, d, t0, m, scratch.dist.data(), kTile);
+        for (std::size_t i = 0; i < nq; ++i) {
+          const std::size_t q = q0 + i;
+          HeapState heap{scratch.heaps.data() + q * cap, scratch.heap_sizes[q], cap};
+          ops.heap_update(kind, heap, scratch.thresholds[q], scratch.dist.data() + i * kTile,
+                          ids + t0, m);
+          scratch.heap_sizes[q] = heap.size;
+        }
+      }
     }
   }
 
@@ -149,10 +159,10 @@ double metric_distance(MetricKind kind, const PointD& a, const PointD& b) {
   panic("metric_distance: unknown MetricKind");
 }
 
-void fused_top_ell_batch(const FlatStore& store, std::span<const PointD> queries,
-                         std::size_t ell, MetricKind kind,
-                         std::vector<std::vector<Key>>& out, KernelScratch& scratch) {
-  require_known_kind(kind, "fused_top_ell_batch");
+void fused_top_ell_ranges(const FlatStore& store, std::span<const RowRange> ranges,
+                          std::span<const PointD> queries, std::size_t ell, MetricKind kind,
+                          std::vector<std::vector<Key>>& out, KernelScratch& scratch) {
+  require_known_kind(kind, "fused_top_ell_ranges");
   out.resize(queries.size());
   // An empty store has no knowable dimension (mirrors the AoS path, which
   // never checks dims against an empty shard); a non-empty one validates
@@ -160,12 +170,25 @@ void fused_top_ell_batch(const FlatStore& store, std::span<const PointD> queries
   if (!store.empty()) {
     for (const PointD& query : queries) require_query_dim(store.dim(), query.dim());
   }
-  if (ell == 0 || store.empty()) {
+  std::size_t rows = 0;
+  for (const auto& [lo, hi] : ranges) {
+    DKNN_REQUIRE(lo <= hi && hi <= store.size(), "fused_top_ell_ranges: range out of bounds");
+    rows += hi - lo;
+  }
+  if (ell == 0 || rows == 0) {
     for (auto& keys : out) keys.clear();
     return;
   }
-  const std::size_t cap = std::min(ell, store.size());
-  batch_impl(simd::kernel_ops(), kind, store, queries, cap, out, scratch);
+  batch_impl(simd::kernel_ops(), kind, store, ranges, queries, std::min(ell, rows), out,
+             scratch);
+}
+
+void fused_top_ell_batch(const FlatStore& store, std::span<const PointD> queries,
+                         std::size_t ell, MetricKind kind,
+                         std::vector<std::vector<Key>>& out, KernelScratch& scratch) {
+  const RowRange all{0, store.size()};
+  fused_top_ell_ranges(store, std::span<const RowRange>(&all, 1), queries, ell, kind, out,
+                       scratch);
 }
 
 RangeTopEll::RangeTopEll(const FlatStore& store, const PointD& query, std::size_t ell,

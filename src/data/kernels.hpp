@@ -52,7 +52,7 @@ struct KernelOps;  // data/simd/kernel_ops.hpp — the per-ISA op table
 /// mark and are then reused; keep one per thread / call site to make the
 /// steady-state query loop allocation-free.
 struct KernelScratch {
-  std::vector<double> dist;                            ///< per-tile distances
+  std::vector<double> dist;                            ///< per-tile scores, one row per query
   std::vector<std::pair<double, PointId>> heaps;       ///< Q bounded max-heaps, flattened
   std::vector<std::size_t> heap_sizes;                 ///< live entries per heap
   std::vector<double> thresholds;                      ///< per-query rejection thresholds
@@ -67,6 +67,21 @@ struct KernelScratch {
 void fused_top_ell_batch(const FlatStore& store, std::span<const PointD> queries,
                          std::size_t ell, MetricKind kind,
                          std::vector<std::vector<Key>>& out, KernelScratch& scratch);
+
+/// A half-open row range [first, second) of one FlatStore.
+using RowRange = std::pair<std::size_t, std::size_t>;
+
+/// fused_top_ell_batch restricted to the rows of `ranges` (disjoint, each
+/// within [0, store.size())): out[q] holds query q's min(ℓ, rows covered)
+/// best keys ascending.  One entry serves a whole store, a row slab of one
+/// (the parallel grid's point-major tasks) and a segment's live row runs
+/// (tombstoned serve segments).  Queries are scored in register blocks of
+/// up to simd::kMaxQueryBlock per column load; any decomposition of the
+/// same rows yields the same bytes (keys are distinct, so the ℓ smallest
+/// are one set whatever order the heap meets them in).
+void fused_top_ell_ranges(const FlatStore& store, std::span<const RowRange> ranges,
+                          std::span<const PointD> queries, std::size_t ell, MetricKind kind,
+                          std::vector<std::vector<Key>>& out, KernelScratch& scratch);
 
 /// Single-query convenience over fused_top_ell_batch.
 [[nodiscard]] std::vector<Key> fused_top_ell(const FlatStore& store, const PointD& query,

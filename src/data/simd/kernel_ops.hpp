@@ -4,8 +4,9 @@
 ///        and the per-ISA scoring implementations (kernels_scalar.cpp,
 ///        kernels_avx2.cpp, kernels_avx512.cpp).
 ///
-/// A `KernelOps` is a table of three function pointers — tile scoring,
-/// fused heap selection, and the materializing sqrt epilogue — filled in
+/// A `KernelOps` is a table of four function pointers — single- and
+/// multi-query tile scoring, fused heap selection, and the materializing
+/// sqrt epilogue — filled in
 /// by exactly one translation unit per ISA.  Each TU is compiled with its own target flags (see CMakeLists.txt)
 /// and nothing else in the binary may inline code from it, so a machine
 /// without AVX-512 never executes an AVX-512 instruction as long as
@@ -49,6 +50,10 @@ struct HeapState {
 /// this, which upper-bounds every in-tile access.
 inline constexpr std::size_t kTilePad = 16;
 
+/// Most queries one `tile_scores_batch` call accepts: the widest register
+/// block (one accumulator per query per point vector).
+inline constexpr std::size_t kMaxQueryBlock = 8;
+
 /// One ISA's scoring implementation.
 struct KernelOps {
   const char* name;  ///< "scalar" / "avx2" / "avx512"
@@ -62,6 +67,17 @@ struct KernelOps {
   /// `dist` obeys the kTilePad contract above.
   void (*tile_scores)(MetricKind kind, const double* const* cols, const double* query,
                       std::size_t d, std::size_t t0, std::size_t m, double* dist);
+
+  /// `tile_scores` for nq ∈ [1, kMaxQueryBlock] queries at once: query q's
+  /// raw scores land in dist[q·stride, q·stride + m).  Each column vector
+  /// is loaded once and feeds one independent accumulator per query, so
+  /// the per-query add chains overlap instead of serializing.  Every
+  /// (point, query) lane keeps tile_scores' exact operation sequence, so
+  /// the bytes equal nq separate tile_scores calls.  Every row obeys the
+  /// kTilePad contract (stride ≥ round_up(m, kTilePad)).
+  void (*tile_scores_batch)(MetricKind kind, const double* const* cols,
+                            const double* const* queries, std::size_t nq, std::size_t d,
+                            std::size_t t0, std::size_t m, double* dist, std::size_t stride);
 
   /// Streams one scored tile into the bounded heap, updating `threshold`
   /// (the raw-domain rejection bound: +∞ until the heap fills, then

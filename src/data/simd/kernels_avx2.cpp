@@ -52,8 +52,8 @@ struct V {
 }  // namespace
 
 const KernelOps& avx2_ops() {
-  static constexpr KernelOps ops{"avx2", &tile_scores_entry, &heap_update_entry,
-                                 &sqrt_tile_entry};
+  static constexpr KernelOps ops{"avx2", &tile_scores_entry, &tile_scores_batch_entry,
+                                 &heap_update_entry, &sqrt_tile_entry};
   return ops;
 }
 

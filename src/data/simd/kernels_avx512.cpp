@@ -31,7 +31,10 @@ struct V {
   friend V operator+(V a, V b) { return {_mm512_add_pd(a.v, b.v)}; }
   friend V operator-(V a, V b) { return {_mm512_sub_pd(a.v, b.v)}; }
   friend V operator*(V a, V b) { return {_mm512_mul_pd(a.v, b.v)}; }
-  static V max(V a, V b) { return {_mm512_max_pd(a.v, b.v)}; }
+  // All-lanes masked form of _mm512_max_pd: same vmaxpd, but its
+  // passthrough operand is `a`, not GCC 12's self-initialized undefined
+  // vector, which trips -Wuninitialized once the register blocks unroll.
+  static V max(V a, V b) { return {_mm512_mask_max_pd(a.v, __mmask8{0xFF}, a.v, b.v)}; }
   static V abs(V a) { return {_mm512_abs_pd(a.v)}; }
   static V sqrt(V a) { return {_mm512_sqrt_pd(a.v)}; }
   void store(double* p) const { _mm512_storeu_pd(p, v); }
@@ -46,8 +49,8 @@ struct V {
 }  // namespace
 
 const KernelOps& avx512_ops() {
-  static constexpr KernelOps ops{"avx512", &tile_scores_entry, &heap_update_entry,
-                                 &sqrt_tile_entry};
+  static constexpr KernelOps ops{"avx512", &tile_scores_entry, &tile_scores_batch_entry,
+                                 &heap_update_entry, &sqrt_tile_entry};
   return ops;
 }
 

@@ -166,6 +166,16 @@ void tile_scores_entry(MetricKind kind, const double* const* cols, const double*
   }
 }
 
+/// The multi-query reference is simply the per-query tile, looped: the
+/// vector TUs' register blocks must reproduce exactly these bytes.
+void tile_scores_batch_entry(MetricKind kind, const double* const* cols,
+                             const double* const* queries, std::size_t nq, std::size_t d,
+                             std::size_t t0, std::size_t m, double* dist, std::size_t stride) {
+  for (std::size_t q = 0; q < nq; ++q) {
+    tile_scores_entry(kind, cols, queries[q], d, t0, m, dist + q * stride);
+  }
+}
+
 void heap_update_entry(MetricKind kind, HeapState& heap, double& threshold, const double* raw,
                        const std::uint64_t* ids, std::size_t m) {
   switch (kind) {
@@ -189,8 +199,8 @@ void sqrt_tile_entry(double* dist, std::size_t m) {
 }  // namespace
 
 const KernelOps& scalar_ops() {
-  static constexpr KernelOps ops{"scalar", &tile_scores_entry, &heap_update_entry,
-                                 &sqrt_tile_entry};
+  static constexpr KernelOps ops{"scalar", &tile_scores_entry, &tile_scores_batch_entry,
+                                 &heap_update_entry, &sqrt_tile_entry};
   return ops;
 }
 

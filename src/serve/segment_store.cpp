@@ -79,7 +79,7 @@ std::shared_ptr<const LiveRuns> compute_live_runs(const std::vector<std::uint8_t
     }
     std::size_t j = i;
     while (j < dead.size() && dead[j] == 0) ++j;
-    runs->emplace_back(static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j));
+    runs->emplace_back(i, j);
     i = j;
   }
   return runs;
@@ -94,7 +94,7 @@ SegmentView make_clean_view(std::shared_ptr<const SealedSegment> data,
   view.dead = std::make_shared<const std::vector<std::uint8_t>>(n, std::uint8_t{0});
   view.dead_count = 0;
   auto runs = std::make_shared<LiveRuns>();
-  if (n > 0) runs->emplace_back(0, static_cast<std::uint32_t>(n));
+  if (n > 0) runs->emplace_back(0, n);
   view.live_runs = std::move(runs);
   view.segment_id = segment_id;
   return view;
@@ -295,7 +295,7 @@ std::uint64_t SegmentStore::publish_locked() {
     view.dead = mirror_zero_dead_;
     view.dead_count = 0;
     auto runs = std::make_shared<LiveRuns>();
-    runs->emplace_back(0, static_cast<std::uint32_t>(delta_mirror_->store().size()));
+    runs->emplace_back(0, delta_mirror_->store().size());
     view.live_runs = std::move(runs);
     view.segment_id = 0;
     next->segments.push_back(std::move(view));
@@ -437,7 +437,7 @@ std::shared_ptr<const SealedSegment> SegmentStore::merge_segments(
   for (const SegmentView& seg : victims) {
     const FlatStore& store = seg.data->store();
     for (const auto& [lo, hi] : *seg.live_runs) {
-      for (std::uint32_t i = lo; i < hi; ++i) {
+      for (std::size_t i = lo; i < hi; ++i) {
         points.push_back(store.point(i));
         ids.push_back(store.id(i));
       }
@@ -537,29 +537,21 @@ void snapshot_top_ell_impl(const ServeSnapshot& snapshot, std::span<const PointD
         candidates[q].insert(candidates[q].end(), segment_keys[0].begin(),
                              segment_keys[0].end());
       }
-    } else if (seg.dead_count == 0) {
-      // Clean segment: full-speed batch kernels (kd-hybrid when present).
-      if (seg.data->tree != nullptr) {
+    } else {
+      // Exact path: a clean segment with a kd-tree runs the hybrid; every
+      // other segment runs the batched kernel over its live row runs (all
+      // of [0, n) when clean).  Skipping dead rows is just a range
+      // decomposition, which changes no byte; compaction restores a
+      // tombstoned tree segment to the hybrid.
+      if (seg.dead_count == 0 && seg.data->tree != nullptr) {
         hybrid_top_ell_batch(*seg.data->tree, queries, ell, kind, segment_keys, scratch);
       } else {
-        fused_top_ell_batch(seg.data->store(), queries, ell, kind, segment_keys, scratch);
+        fused_top_ell_ranges(seg.data->store(), *seg.live_runs, queries, ell, kind,
+                             segment_keys, scratch);
       }
       for (std::size_t q = 0; q < queries.size(); ++q) {
         candidates[q].insert(candidates[q].end(), segment_keys[q].begin(),
                              segment_keys[q].end());
-      }
-    } else {
-      // Tombstoned segment: the same fused machinery over the live row
-      // runs — skipping dead rows is just a range decomposition, which
-      // RangeTopEll guarantees is byte-identical.  Compaction restores
-      // this segment to the batch path above.
-      segment_keys.resize(1);
-      for (std::size_t q = 0; q < queries.size(); ++q) {
-        RangeTopEll scorer(seg.data->store(), queries[q], ell, kind, scratch);
-        for (const auto& [lo, hi] : *seg.live_runs) scorer.score_range(lo, hi);
-        scorer.finish(segment_keys[0]);
-        candidates[q].insert(candidates[q].end(), segment_keys[0].begin(),
-                             segment_keys[0].end());
       }
     }
   }

@@ -97,7 +97,7 @@ struct SealedSegment {
 };
 
 /// Maximal [lo, hi) row ranges of live (non-tombstoned) points.
-using LiveRuns = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+using LiveRuns = std::vector<RowRange>;
 
 /// One epoch's view of a segment: shared heavy payload plus copy-on-write
 /// tombstone state.  Value-copyable (three shared_ptrs and two integers),
@@ -308,11 +308,11 @@ class SegmentStore {
 };
 
 /// Scores `queries` against the snapshot's live set, fused with bounded
-/// top-ℓ selection: clean segments run the fused batch kernel (or the
-/// kd-hybrid when the segment carries a tree), tombstoned segments run
-/// the same kernels over their live row runs via RangeTopEll, and the
-/// per-segment winners merge into each query's global top-ℓ.  `out` is
-/// resized to queries.size(); out[q] holds min(ℓ, live) keys ascending.
+/// top-ℓ selection: each segment runs the batched kernel over its live
+/// row runs (fused_top_ell_ranges) — clean tree-carrying segments run the
+/// kd-hybrid instead — and the per-segment winners merge into each
+/// query's global top-ℓ.  `out` is resized to queries.size(); out[q]
+/// holds min(ℓ, live) keys ascending.
 /// Byte-identical to fused_top_ell_batch over a FlatStore rebuilt from
 /// the live set (fuzzed in tests/test_serve.cpp).
 void snapshot_top_ell_batch(const ServeSnapshot& snapshot, std::span<const PointD> queries,

@@ -185,10 +185,11 @@ void ThreadPool::TaskGroup::submit(std::function<void()> job) {
       std::lock_guard lock(mutex_);
       if (error_ == nullptr) error_ = std::current_exception();
     }
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard lock(mutex_);
-      done_.notify_all();
-    }
+    // Decrement under the lock: a waiter that saw 0 first could return
+    // and destroy the group (its mutex and condvar) before this worker
+    // locked them to notify.
+    std::lock_guard lock(mutex_);
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) done_.notify_all();
   });
 }
 

@@ -6,7 +6,7 @@
 ///   * the engine's parallel executor (one closure per alive machine per
 ///     superstep, then a barrier), and
 ///   * the batched local-scoring step in core/driver.cpp (one task per
-///     shard × query-block tile).
+///     row slab or shard × query-block tile).
 ///
 /// Design: each worker owns a deque.  The owner pushes and pops at the back
 /// (LIFO — nested submissions run hot), thieves steal *half* the victim's

@@ -311,6 +311,61 @@ TEST(ParityFuzz, GiantShardSplitsByteIdenticalToUnsplitGrid) {
   }
 }
 
+TEST(ParityFuzz, AutoPointMajorGridRaggedSlabs) {
+  // The auto grid (query_block and shard_split_rows left at 0) with shards
+  // big enough to cut into row slabs: uneven slab counts per shard that
+  // change with the thread count, an empty shard, batches below one
+  // register block (3 queries) and past one (11), a caller-owned pool,
+  // and auto slabs crossed with an explicit query block.
+  Rng rng(0x5EAB5ULL);
+  std::vector<VectorShard> shards(4);
+  std::uint64_t next_id = 1;
+  const std::size_t sizes[] = {150000, 40000, 9000, 0};
+  for (std::size_t m = 0; m < shards.size(); ++m) {
+    for (std::size_t i = 0; i < sizes[m]; ++i) {
+      shards[m].points.push_back(random_point(3, /*grid=*/i % 2 == 0, rng));
+      shards[m].ids.push_back(next_id);
+      next_id += 1 + rng.below(3);
+    }
+  }
+  std::vector<PointD> queries;
+  for (std::size_t q = 0; q < 11; ++q) queries.push_back(random_point(3, false, rng));
+  const std::uint64_t ell = 37;
+  const auto indexes = make_shard_indexes(shards, ScoringPolicy::Brute);
+  ThreadPool shared(3);
+  BatchScoringConfig pooled;
+  pooled.pool = &shared;
+
+  for (const MetricKind kind : kAllKinds) {
+    SCOPED_TRACE(metric_kind_name(kind));
+    std::vector<std::vector<std::vector<Key>>> expected(queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      for (const auto& shard : shards) {
+        expected[q].push_back(reference_top_ell(shard, queries[q], kind, ell));
+      }
+    }
+    const std::pair<const char*, BatchScoringConfig> configs[] = {
+        {"auto-2", {.threads = 2}},
+        {"auto-3", {.threads = 3}},
+        {"auto-4", {.threads = 4}},
+        {"auto-shared-pool", pooled},
+        {"auto-slabs-query-block-5", {.threads = 4, .query_block = 5}},
+    };
+    for (const auto& [name, config] : configs) {
+      for (const std::size_t count : {std::size_t{3}, queries.size()}) {
+        const std::span<const PointD> batch(queries.data(), count);
+        const auto got = score_vector_shards_batch(indexes, batch, ell, kind, config);
+        ASSERT_EQ(got.size(), count);
+        for (std::size_t q = 0; q < count; ++q) {
+          for (std::size_t m = 0; m < shards.size(); ++m) {
+            expect_same_keys(expected[q][m], got[q][m], name, q, m);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(ParityFuzz, ParallelRunsAreIdenticalRunToRun) {
   // Schedule independence: many parallel runs of one case must agree bit
   // for bit (slots are pre-sized and disjoint, so this holds by

@@ -15,7 +15,9 @@
 //
 // over the fused batch kernel, the RangeTopEll leaf scorer under random
 // range decompositions (the kd-hybrid entry point), the materializing
-// score_store, and the policy-aware parallel driver path.  Failures log
+// score_store, the register-blocked multi-query op and its batched
+// entries (every query-count remainder), and the policy-aware parallel
+// driver path.  Failures log
 // the trial seed via SCOPED_TRACE for a one-line repro.
 //
 // ISAs the running CPU lacks are skipped (and logged) — the scalar row is
@@ -23,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -32,6 +35,7 @@
 #include "core/driver.hpp"
 #include "data/kernels.hpp"
 #include "data/simd/dispatch.hpp"
+#include "data/simd/kernel_ops.hpp"
 #include "parity_support.hpp"
 #include "rng/rng.hpp"
 #include "seq/kdtree.hpp"
@@ -259,6 +263,95 @@ TEST(SimdParity, DenormalSaturatedAllMetrics) {
     SCOPED_TRACE(metric_kind_name(kind));
     const auto expected = reference_top_ell(t.shard, t.query, t.kind, t.ell);
     for (const simd::Isa isa : isas) check_isa(t, expected, isa, 0xDE401ULL);
+  }
+}
+
+TEST(SimdParity, MultiQueryBlocksMatchPerQueryReference) {
+  // The register-blocked multi-query op against the scalar per-query tile,
+  // lane for lane, and the batched fused entries (whole store and row
+  // ranges) against the functor oracle — every metric, the fixed-dim table
+  // plus the dynamic loop, every register-block remainder (8/4/2/1), and
+  // tiles whose length and start are not multiples of the vector width.
+  constexpr std::size_t kBlockDims[] = {1, 2,  3,  4,  5,  6,  7,  8,  9, 10,
+                                        11, 12, 13, 14, 15, 16, 17, 32, 33};
+  constexpr std::size_t kQueryCounts[] = {1, 2, 3, 7, 8, 9, 17, 64};
+  constexpr std::size_t kStride = 64;  // ≥ round_up(m, kTilePad) below
+  const auto isas = supported_isas();
+  const simd::KernelOps& reference = simd::scalar_ops();
+  Rng rng(0xB10C5ULL);
+  for (const std::size_t dim : kBlockDims) {
+    const std::size_t n = 45 + rng.below(8);  // a few vectors plus a ragged tail
+    VectorShard shard;
+    for (std::size_t i = 0; i < n; ++i) {
+      shard.points.push_back(random_point(dim, dim % 3 == 0 ? CoordMode::Grid
+                                                             : CoordMode::Continuous,
+                                          rng));
+      shard.ids.push_back(10 + 2 * i);
+    }
+    std::vector<PointD> queries;
+    for (std::size_t q = 0; q < 64; ++q) {
+      queries.push_back(random_point(dim, CoordMode::Continuous, rng));
+    }
+    const FlatStore store(shard.points, shard.ids);
+    std::vector<const double*> cols(dim);
+    for (std::size_t j = 0; j < dim; ++j) cols[j] = store.dim_coords(j).data();
+    std::vector<const double*> query_ptrs;
+    for (const PointD& query : queries) query_ptrs.push_back(query.coords.data());
+
+    for (const MetricKind kind : kAllKinds) {
+      std::vector<std::vector<std::vector<Key>>> expected;  // [count index][query]
+      for (const std::size_t count : kQueryCounts) {
+        expected.emplace_back();
+        for (std::size_t q = 0; q < count; ++q) {
+          expected.back().push_back(reference_top_ell(shard, queries[q], kind, 9));
+        }
+      }
+      for (const simd::Isa isa : isas) {
+        std::ostringstream trace;
+        trace << simd::isa_name(isa) << " dim=" << dim << " n=" << n
+              << " metric=" << metric_kind_name(kind);
+        SCOPED_TRACE(trace.str());
+        ForcedIsa pin(isa);
+        const simd::KernelOps& ops = simd::kernel_ops();
+
+        // Op level: nq = 1..kMaxQueryBlock, over a tile starting off the
+        // vector grid and ending in a partial vector.
+        for (const auto& [t0, m] : {std::pair<std::size_t, std::size_t>{0, n},
+                                    std::pair<std::size_t, std::size_t>{3, n - 3 - 2},
+                                    std::pair<std::size_t, std::size_t>{1, 5}}) {
+          for (std::size_t nq = 1; nq <= simd::kMaxQueryBlock; ++nq) {
+            std::vector<double> got(nq * kStride), want(nq * kStride);
+            ops.tile_scores_batch(kind, cols.data(), query_ptrs.data(), nq, dim, t0, m,
+                                  got.data(), kStride);
+            for (std::size_t q = 0; q < nq; ++q) {
+              reference.tile_scores(kind, cols.data(), query_ptrs[q], dim, t0, m,
+                                    want.data() + q * kStride);
+              for (std::size_t i = 0; i < m; ++i) {
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(want[q * kStride + i]),
+                          std::bit_cast<std::uint64_t>(got[q * kStride + i]))
+                    << "t0=" << t0 << " m=" << m << " nq=" << nq << " query " << q
+                    << " row " << i;
+              }
+            }
+          }
+        }
+
+        // API level: the batch walks register blocks across every count,
+        // over the whole store and over a ragged range decomposition.
+        const std::vector<RowRange> ranges = {{0, 5}, {5, 6}, {6, n - 9}, {n - 9, n}};
+        KernelScratch scratch;
+        std::vector<std::vector<Key>> whole, ranged;
+        for (std::size_t c = 0; c < std::size(kQueryCounts); ++c) {
+          const std::span<const PointD> block(queries.data(), kQueryCounts[c]);
+          fused_top_ell_batch(store, block, 9, kind, whole, scratch);
+          fused_top_ell_ranges(store, ranges, block, 9, kind, ranged, scratch);
+          for (std::size_t q = 0; q < block.size(); ++q) {
+            expect_same_keys(expected[c][q], whole[q], "batch");
+            expect_same_keys(expected[c][q], ranged[q], "ranges");
+          }
+        }
+      }
+    }
   }
 }
 
