@@ -483,46 +483,49 @@ const FlatStore* scanned_store(const ShardIndex& index, bool approx) {
   return &index.store();
 }
 
-}  // namespace
-
-std::vector<std::vector<std::vector<Key>>> score_vector_shards_batch(
+/// The one per-machine scorer of the ShardIndex overloads.  `skip` (empty
+/// = score every machine) marks machines whose slots stay empty; skipped
+/// machines stay opaque to the splitter, so score() writes those slots.
+std::vector<std::vector<std::vector<Key>>> score_indexes(
     const std::vector<ShardIndex>& indexes, std::span<const PointD> queries, std::uint64_t ell,
-    MetricKind kind, const BatchScoringConfig& config) {
+    MetricKind kind, const BatchScoringConfig& config, std::span<const char> skip) {
+  const auto skipped = [skip](std::size_t m) { return !skip.empty() && skip[m] != 0; };
   return score_tiled_grid(
       indexes.size(), queries, ell, kind, config,
-      [&indexes, ell, kind, &config](std::size_t m, std::span<const PointD> block,
-                                     std::vector<std::vector<Key>>& keys,
-                                     KernelScratch& scratch) {
+      [&](std::size_t m, std::span<const PointD> block, std::vector<std::vector<Key>>& keys,
+          KernelScratch& scratch) {
+        if (skipped(m)) {
+          keys.assign(block.size(), {});
+          return;
+        }
         score_tile(indexes[m], block, ell, kind, config.approx, keys, scratch);
       },
-      [&indexes, &config](std::size_t m) { return scanned_store(indexes[m], config.approx); });
+      [&](std::size_t m) {
+        return skipped(m) ? nullptr : scanned_store(indexes[m], config.approx);
+      });
 }
 
-std::vector<std::vector<std::vector<Key>>> score_serve_snapshots_batch(
+/// The one per-machine scorer of the snapshot overloads (same `skip`
+/// convention).  Snapshots are opaque to the splitter: segmentation
+/// already bounds scan length per segment, and compaction governs segment
+/// size.
+std::vector<std::vector<std::vector<Key>>> score_snapshots(
     std::span<const SnapshotPtr> snapshots, std::span<const PointD> queries, std::uint64_t ell,
-    MetricKind kind, const BatchScoringConfig& config) {
-  for (const SnapshotPtr& snapshot : snapshots) {
-    DKNN_REQUIRE(snapshot != nullptr, "score_serve_snapshots_batch: null snapshot");
-  }
+    MetricKind kind, const BatchScoringConfig& config, std::span<const char> skip) {
   return score_tiled_grid(
       snapshots.size(), queries, ell, kind, config,
-      [&snapshots, ell, kind, &config](std::size_t m, std::span<const PointD> block,
-                                       std::vector<std::vector<Key>>& keys,
-                                       KernelScratch& scratch) {
-        if (config.approx) {
-          snapshot_approx_top_ell_batch(*snapshots[m], block, static_cast<std::size_t>(ell),
-                                        kind, keys, scratch);
-        } else {
-          snapshot_top_ell_batch(*snapshots[m], block, static_cast<std::size_t>(ell), kind,
-                                 keys, scratch);
+      [&](std::size_t m, std::span<const PointD> block, std::vector<std::vector<Key>>& keys,
+          KernelScratch& scratch) {
+        if (!skip.empty() && skip[m] != 0) {
+          keys.assign(block.size(), {});
+          return;
         }
+        const auto top_ell = config.approx ? snapshot_approx_top_ell_batch
+                                           : snapshot_top_ell_batch;
+        top_ell(*snapshots[m], block, static_cast<std::size_t>(ell), kind, keys, scratch);
       },
-      // Snapshots are opaque to the splitter: segmentation already bounds
-      // scan length per segment, and compaction governs segment size.
       [](std::size_t) -> const FlatStore* { return nullptr; });
 }
-
-namespace {
 
 /// Shared health gate of the guarded overloads: one deadline-guarded
 /// check_call per machine, skip mask + coverage out.  Retired machines are
@@ -555,26 +558,27 @@ std::vector<char> guard_machines(MachineHealth& health, std::size_t machines,
 
 }  // namespace
 
+std::vector<std::vector<std::vector<Key>>> score_vector_shards_batch(
+    const std::vector<ShardIndex>& indexes, std::span<const PointD> queries, std::uint64_t ell,
+    MetricKind kind, const BatchScoringConfig& config) {
+  return score_indexes(indexes, queries, ell, kind, config, {});
+}
+
+std::vector<std::vector<std::vector<Key>>> score_serve_snapshots_batch(
+    std::span<const SnapshotPtr> snapshots, std::span<const PointD> queries, std::uint64_t ell,
+    MetricKind kind, const BatchScoringConfig& config) {
+  for (const SnapshotPtr& snapshot : snapshots) {
+    DKNN_REQUIRE(snapshot != nullptr, "score_serve_snapshots_batch: null snapshot");
+  }
+  return score_snapshots(snapshots, queries, ell, kind, config, {});
+}
+
 GuardedScoreBatch score_vector_shards_batch_guarded(
     const std::vector<ShardIndex>& indexes, std::span<const PointD> queries, std::uint64_t ell,
     MetricKind kind, MachineHealth& health, const BatchScoringConfig& config) {
   GuardedScoreBatch out;
   const std::vector<char> skip = guard_machines(health, indexes.size(), out.coverage);
-  out.scored = score_tiled_grid(
-      indexes.size(), queries, ell, kind, config,
-      [&indexes, &skip, ell, kind, &config](std::size_t m, std::span<const PointD> block,
-                                            std::vector<std::vector<Key>>& keys,
-                                            KernelScratch& scratch) {
-        if (skip[m]) {
-          keys.assign(block.size(), {});
-          return;
-        }
-        score_tile(indexes[m], block, ell, kind, config.approx, keys, scratch);
-      },
-      [&indexes, &skip, &config](std::size_t m) {
-        // Skipped machines stay opaque, so score() writes their empty slots.
-        return skip[m] ? nullptr : scanned_store(indexes[m], config.approx);
-      });
+  out.scored = score_indexes(indexes, queries, ell, kind, config, skip);
   return out;
 }
 
@@ -597,24 +601,7 @@ GuardedScoreBatch score_serve_snapshots_batch_guarded(
     }
   }
   if (missing_merged) std::sort(out.coverage.missing.begin(), out.coverage.missing.end());
-  out.scored = score_tiled_grid(
-      snapshots.size(), queries, ell, kind, config,
-      [&snapshots, &skip, ell, kind, &config](std::size_t m, std::span<const PointD> block,
-                                              std::vector<std::vector<Key>>& keys,
-                                              KernelScratch& scratch) {
-        if (skip[m]) {
-          keys.assign(block.size(), {});
-          return;
-        }
-        if (config.approx) {
-          snapshot_approx_top_ell_batch(*snapshots[m], block, static_cast<std::size_t>(ell),
-                                        kind, keys, scratch);
-        } else {
-          snapshot_top_ell_batch(*snapshots[m], block, static_cast<std::size_t>(ell), kind,
-                                 keys, scratch);
-        }
-      },
-      [](std::size_t) -> const FlatStore* { return nullptr; });
+  out.scored = score_snapshots(snapshots, queries, ell, kind, config, skip);
   return out;
 }
 

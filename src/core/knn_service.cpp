@@ -47,8 +47,8 @@ struct KnnService::Snapshot {
   bool has_targets = false;
 };
 
-/// One waiting query() call in the coalescing seat (the QueryFrontEnd
-/// leader/follower discipline, facade-wide).  Owned by the caller's stack;
+/// One waiting query() call in the coalescing seat (leader/follower
+/// micro-batching, one seat per service).  Owned by the caller's stack;
 /// `done`/`result`/`error` are written by the leader and read by the owner,
 /// both under seat_mutex.
 struct KnnService::SeatSlot {
@@ -605,8 +605,7 @@ QueryResult KnnService::query(const PointD& point, const QueryOptions& options) 
   }
   if (!slot.done) {
     // Leader: collect companions up to coalesce_max_batch or the deadline,
-    // then score the whole batch outside the lock (the QueryFrontEnd
-    // discipline — see serve/front_end.cpp).
+    // then score the whole batch outside the lock.
     state.seat_leader_active = true;
     if (state.config.coalesce_max_delay.count() > 0) {
       const auto deadline = std::chrono::steady_clock::now() + state.config.coalesce_max_delay;
@@ -885,6 +884,21 @@ std::optional<std::uint64_t> KnnService::erase(PointId id) {
   return std::nullopt;
 }
 
+namespace {
+
+/// One inline compaction round on `store`: plan, merge the frozen victims,
+/// install conditionally on victim identity.  nullopt when the store has
+/// nothing worth compacting; otherwise whether the install landed (false =
+/// a racing erase tombstoned a victim mid-merge, so the round aborted).
+std::optional<bool> compact_round(SegmentStore& store, const ServiceConfig& config) {
+  const SegmentStore::CompactionPlan plan = store.plan_compaction(config.compaction);
+  if (plan.empty()) return std::nullopt;
+  auto merged = SegmentStore::merge_segments(plan.victims, config.serve);
+  return store.install_compaction(plan, std::move(merged));
+}
+
+}  // namespace
+
 std::uint64_t KnnService::compact_now() {
   State& state = ensure_live();
   // No service mutex while planning or merging: merges read only frozen
@@ -896,14 +910,9 @@ std::uint64_t KnnService::compact_now() {
   for (const auto& store : state.stores) {
     std::size_t consecutive_aborts = 0;
     while (consecutive_aborts < 8) {
-      const SegmentStore::CompactionPlan plan = store->plan_compaction(state.config.compaction);
-      if (plan.empty()) break;
-      auto merged = SegmentStore::merge_segments(plan.victims, state.config.serve);
-      if (store->install_compaction(plan, std::move(merged))) {
-        consecutive_aborts = 0;
-      } else {
-        ++consecutive_aborts;
-      }
+      const std::optional<bool> installed = compact_round(*store, state.config);
+      if (!installed.has_value()) break;
+      consecutive_aborts = *installed ? 0 : consecutive_aborts + 1;
     }
   }
   const std::lock_guard<std::mutex> lock(state.mutex);
@@ -924,11 +933,7 @@ std::size_t KnnService::maybe_compact() {
   // store — the same conditional-install discipline, synchronously.
   std::size_t rounds = 0;
   for (const auto& store : state.stores) {
-    const SegmentStore::CompactionPlan plan = store->plan_compaction(state.config.compaction);
-    if (plan.empty()) continue;
-    auto merged = SegmentStore::merge_segments(plan.victims, state.config.serve);
-    store->install_compaction(plan, std::move(merged));
-    ++rounds;
+    if (compact_round(*store, state.config).has_value()) ++rounds;
   }
   if (rounds > 0) {
     const std::lock_guard<std::mutex> lock(state.mutex);

@@ -61,9 +61,9 @@
 /// compaction_debt / live_ids_on) still take the service mutex — they read
 /// the mutable mirror, not the snapshot.  `query()` additionally coalesces
 /// concurrently-submitted singles through one leader/follower seat per
-/// service (the QueryFrontEnd discipline, facade-wide), so under load
-/// singles approach the batch path's kernel amortization; query_batch
-/// bypasses the seat.
+/// service — the library's only coalescing seat — so under load singles
+/// approach the batch path's kernel amortization; query_batch bypasses the
+/// seat.
 
 #include <chrono>
 #include <cstdint>
@@ -157,8 +157,8 @@ struct ServiceConfig {
   /// a degraded answer is never served after a liveness change (and vice
   /// versa).
   std::size_t cache_capacity = 0;
-  /// query()'s facade-wide coalescing seat (the QueryFrontEnd
-  /// leader/follower discipline): concurrently submitted singles ride one
+  /// query()'s coalescing seat (leader/follower micro-batching, one seat
+  /// per service): concurrently submitted singles ride one
   /// scored batch of up to `coalesce_max_batch`; the leader waits up to
   /// `coalesce_max_delay` for companions (0 = coalesce only queries
   /// already queued — no added latency, the default).  Coalescing changes

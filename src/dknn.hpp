@@ -17,7 +17,7 @@
 ///   fault/                     machine health, deadlines, replica mirror,
 ///                              survivor elections for recovery
 ///   serve/                     live single-store serving: SegmentStore,
-///                              Compactor, QueryFrontEnd, result cache
+///                              Compactor, result cache
 ///   core/knn_service.hpp       ★ the front door: KnnService unifies the
 ///                              static, batched and live query paths —
 ///                              start here; everything below is its
@@ -74,9 +74,8 @@
 #include "core/simple_knn.hpp"    // IWYU pragma: export
 #include "core/vector_index.hpp"  // IWYU pragma: export
 
-// live serving (epoch-snapshotted segment store + compaction + batching)
+// live serving (epoch-snapshotted segment store + compaction + result cache)
 #include "serve/compactor.hpp"      // IWYU pragma: export
-#include "serve/front_end.hpp"      // IWYU pragma: export
 #include "serve/result_cache.hpp"   // IWYU pragma: export
 #include "serve/segment_store.hpp"  // IWYU pragma: export
 

@@ -1,7 +1,7 @@
 // Tests for the live serving subsystem (src/serve/): SegmentStore
 // insert/erase/seal semantics, snapshot isolation, compaction (including
-// the stale-victim abort), the dynamic-batching front end's epoch-keyed
-// cache, the serve-aware driver/mlapi entry points — and the anchor of the
+// the stale-victim abort), the epoch-keyed cache of a one-machine live
+// facade, the serve-aware driver/mlapi entry points — and the anchor of the
 // whole subsystem, a seeded mutation fuzz that interleaves
 // insert/delete/compact/query and asserts byte-identical results against a
 // single FlatStore rebuilt from the live set at that epoch, across all
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/driver.hpp"
+#include "core/knn_service.hpp"
 #include "core/mlapi.hpp"
 #include "data/generators.hpp"
 #include "data/kernels.hpp"
@@ -29,7 +30,6 @@
 #include "parity_support.hpp"
 #include "rng/rng.hpp"
 #include "serve/compactor.hpp"
-#include "serve/front_end.hpp"
 #include "serve/segment_store.hpp"
 #include "sim/thread_pool.hpp"
 #include "support/panic.hpp"
@@ -63,8 +63,10 @@ std::vector<Key> oracle_top_ell(const std::vector<LivePoint>& live, const PointD
   return fused_top_ell(store, query, ell, kind);
 }
 
-/// Fills a store with `count` fresh uniform points (ids first_id..).
-std::vector<LivePoint> seed_store(SegmentStore& store, std::size_t count, std::size_t dim,
+/// Fills a store — a SegmentStore or a live KnnService — with `count`
+/// fresh uniform points (ids first_id..).
+template <typename Store>
+std::vector<LivePoint> seed_store(Store& store, std::size_t count, std::size_t dim,
                                   PointId first_id, Rng& rng) {
   std::vector<LivePoint> live;
   live.reserve(count);
@@ -429,73 +431,83 @@ TEST(ServeFuzz, InterleavedMutationsMatchRebuiltOracle) {
   EXPECT_GE(trials, 500u);
 }
 
-// --- query front end --------------------------------------------------------
+// --- one-store serving through the facade ----------------------------------
+//
+// A live KnnService over one machine is the one-store serving setup: the
+// answer is the store's top-ℓ, so the rebuilt-store oracle holds byte for
+// byte.
 
-TEST(QueryFrontEnd, CacheHitsAreByteIdenticalAndEpochKeyed) {
+TEST(ServeFacade, OneMachineCacheHitsAreByteIdenticalAndEpochKeyed) {
   Rng rng(7);
-  SegmentStore store(3, ServeConfig{.seal_threshold = 16});
-  auto live = seed_store(store, 40, 3, 1, rng);
-  QueryFrontEnd fe(store, FrontEndConfig{.ell = 5, .kind = MetricKind::Euclidean,
-                                         .max_batch = 4,
-                                         .max_delay = std::chrono::microseconds{0},
-                                         .cache_capacity = 64});
+  KnnService service = KnnServiceBuilder()
+                           .machines(1)
+                           .ell(5)
+                           .metric(MetricKind::Euclidean)
+                           .dim(3)
+                           .live(ServeConfig{.seal_threshold = 16})
+                           .coalesce(4)
+                           .cache_capacity(64)
+                           .build();
+  auto live = seed_store(service, 40, 3, 1, rng);
   const PointD query = uniform_points(1, 3, 50.0, rng)[0];
 
-  const auto first = fe.query(query);
+  const auto first = service.query(query);
   EXPECT_FALSE(first.cache_hit);
-  EXPECT_EQ(first.epoch, store.epoch());
+  EXPECT_EQ(first.epoch, service.snapshot_epoch());
   expect_same_keys(oracle_top_ell(live, query, 5, MetricKind::Euclidean), first.keys,
-                   "front-end miss");
+                   "facade miss");
 
-  const auto second = fe.query(query);
+  const auto second = service.query(query);
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(second.epoch, first.epoch);
-  expect_same_keys(first.keys, second.keys, "front-end hit");
+  expect_same_keys(first.keys, second.keys, "facade hit");
 
   // Any mutation advances the epoch and invalidates the cache; the fresh
   // answer reflects the deletion of the former nearest neighbor.
   const PointId nearest = first.keys[0].id;
-  ASSERT_TRUE(store.erase(nearest).has_value());
+  ASSERT_TRUE(service.erase(nearest).has_value());
   live.erase(std::find_if(live.begin(), live.end(),
                           [nearest](const LivePoint& lp) { return lp.id == nearest; }));
-  const auto third = fe.query(query);
+  const auto third = service.query(query);
   EXPECT_FALSE(third.cache_hit);
   EXPECT_GT(third.epoch, second.epoch);
   EXPECT_NE(third.keys[0].id, nearest);
   expect_same_keys(oracle_top_ell(live, query, 5, MetricKind::Euclidean), third.keys,
-                   "front-end after erase");
+                   "facade after erase");
 
-  const auto stats = fe.stats();
+  const auto stats = service.stats();
   EXPECT_EQ(stats.queries, 3u);
   EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_EQ(stats.cache_misses, 2u);
   EXPECT_GE(stats.cache_flushes, 1u);
 }
 
-TEST(QueryFrontEnd, QueryBatchMatchesSingleQueriesAndOracle) {
+TEST(ServeFacade, OneMachineQueryBatchMatchesOracle) {
   Rng rng(8);
-  SegmentStore store(2, ServeConfig{.seal_threshold = 8, .policy = ScoringPolicy::Tree,
-                                    .leaf_size = 4});
-  auto live = seed_store(store, 30, 2, 1, rng);
-  ASSERT_TRUE(store.erase(5).has_value());
+  KnnService service =
+      KnnServiceBuilder()
+          .machines(1)
+          .ell(7)
+          .metric(MetricKind::Manhattan)
+          .dim(2)
+          .live(ServeConfig{.seal_threshold = 8, .policy = ScoringPolicy::Tree, .leaf_size = 4})
+          .build();  // cache disabled
+  auto live = seed_store(service, 30, 2, 1, rng);
+  ASSERT_TRUE(service.erase(5).has_value());
   live.erase(std::find_if(live.begin(), live.end(),
                           [](const LivePoint& lp) { return lp.id == 5; }));
 
-  QueryFrontEnd fe(store, FrontEndConfig{.ell = 7, .kind = MetricKind::Manhattan,
-                                         .max_batch = 8,
-                                         .max_delay = std::chrono::microseconds{0},
-                                         .cache_capacity = 0});  // cache disabled
   const auto queries = uniform_points(9, 2, 50.0, rng);
-  const auto results = fe.query_batch(queries);
-  ASSERT_EQ(results.size(), queries.size());
+  const BatchQueryResult results = service.query_batch(queries);
+  ASSERT_EQ(results.per_query.size(), queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    EXPECT_FALSE(results[q].cache_hit);
-    EXPECT_EQ(results[q].batch_size, queries.size());
+    EXPECT_FALSE(results.per_query[q].cache_hit);
+    EXPECT_EQ(results.per_query[q].batch_size, queries.size());
     expect_same_keys(oracle_top_ell(live, queries[q], 7, MetricKind::Manhattan),
-                     results[q].keys, "batch query " + std::to_string(q));
+                     results.per_query[q].keys, "batch query " + std::to_string(q));
   }
-  EXPECT_EQ(fe.stats().cache_hits, 0u);
-  EXPECT_EQ(fe.stats().batches, 1u);
+  EXPECT_EQ(service.stats().cache_hits, 0u);
+  EXPECT_EQ(service.stats().batches, 1u);
 }
 
 // --- serve-aware driver + mlapi entry points --------------------------------

@@ -24,7 +24,7 @@
 #include "data/validate.hpp"
 #include "parity_support.hpp"
 #include "rng/rng.hpp"
-#include "serve/front_end.hpp"
+#include "serve/segment_store.hpp"
 
 namespace dknn {
 namespace {
@@ -110,20 +110,13 @@ TEST(ServiceErrors, ClassifyWithoutLabelsRegressWithoutTargets) {
 }
 
 TEST(ServiceErrors, EllZeroIsTypedAndWordedIdentically) {
-  // The facade and the serve front end require ℓ ≥ 1 through the same
-  // validator — same type, same text (scoring an ℓ of zero stays
-  // permissive; ParityFuzz.EllZeroYieldsEmptySlots pins that).
+  // The facade requires ℓ ≥ 1 through the shared validator — typed, with
+  // a stable text (scoring an ℓ of zero stays permissive;
+  // ParityFuzz.EllZeroYieldsEmptySlots pins that).
   const std::string expected = positive_ell_text();
   EXPECT_EQ(expected, "dknn: ell must be >= 1");
   try {
     (void)KnnServiceBuilder().ell(0).build();
-    FAIL() << "expected InvalidEllError";
-  } catch (const InvalidEllError& e) {
-    EXPECT_EQ(std::string(e.what()), expected);
-  }
-  SegmentStore store(2);
-  try {
-    const QueryFrontEnd fe(store, FrontEndConfig{.ell = 0});
     FAIL() << "expected InvalidEllError";
   } catch (const InvalidEllError& e) {
     EXPECT_EQ(std::string(e.what()), expected);

@@ -72,44 +72,60 @@ bool same_keys(const std::vector<Key>& want, const std::vector<Key>& got) {
 TEST(ServiceConcurrency, SeatStormRespectsCapAndStaysByteExact) {
   constexpr std::size_t kThreads = 6;
   constexpr std::size_t kPerThread = 40;
-  constexpr std::size_t kCap = 4;
-  Rng rng(61);
-  KnnService service = KnnServiceBuilder()
-                           .machines(3)
-                           .ell(5)
-                           .metric(kKind)
-                           .seed(7)
-                           .coalesce(kCap)  // max_delay 0: storms only
-                           .dataset(uniform_points(80, 2, 50.0, rng))
-                           .build();
-  const auto query_pool = uniform_points(10, 2, 50.0, rng);
-  std::vector<std::vector<Key>> want;
-  for (const PointD& q : query_pool) want.push_back(service.query(q).keys);
+  // {batch cap, cache entries}.  Cap 4 without a cache is the plain storm.
+  // Cap 1 makes every concurrent arrival land mid-execute, so each must be
+  // re-elected by the retiring leader's notify_all — one scored batch per
+  // query.  Cap 4 with the cache on mixes hits into the storm.
+  struct Input {
+    std::size_t cap;
+    std::size_t cache;
+  };
+  for (const Input input : {Input{4, 0}, Input{1, 0}, Input{4, 128}}) {
+    SCOPED_TRACE("cap " + std::to_string(input.cap) + " cache " + std::to_string(input.cache));
+    Rng rng(61);
+    KnnService service = KnnServiceBuilder()
+                             .machines(3)
+                             .ell(5)
+                             .metric(kKind)
+                             .seed(7)
+                             .coalesce(input.cap)  // max_delay 0: storms only
+                             .cache_capacity(input.cache)
+                             .dataset(uniform_points(80, 2, 50.0, rng))
+                             .build();
+    const auto query_pool = uniform_points(10, 2, 50.0, rng);
+    std::vector<std::vector<Key>> want;
+    for (const PointD& q : query_pool) want.push_back(service.query(q).keys);
 
-  std::atomic<std::size_t> ready{0};
-  std::atomic<std::size_t> cap_violations{0};
-  std::atomic<std::size_t> mismatches{0};
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      ready.fetch_add(1);
-      while (ready.load() < kThreads) {
-      }  // start the storm together
-      Rng qrng(900 + t);
-      for (std::size_t i = 0; i < kPerThread; ++i) {
-        const std::size_t pick = qrng.below(query_pool.size());
-        const QueryResult result = service.query(query_pool[pick]);
-        if (result.batch_size < 1 || result.batch_size > kCap) cap_violations.fetch_add(1);
-        if (!same_keys(want[pick], result.keys)) mismatches.fetch_add(1);
-      }
-    });
+    std::atomic<std::size_t> ready{0};
+    std::atomic<std::size_t> cap_violations{0};
+    std::atomic<std::size_t> mismatches{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+        }  // start the storm together
+        Rng qrng(900 + t);
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+          const std::size_t pick = qrng.below(query_pool.size());
+          const QueryResult result = service.query(query_pool[pick]);
+          if (result.batch_size < 1 || result.batch_size > input.cap) {
+            cap_violations.fetch_add(1);
+          }
+          if (!same_keys(want[pick], result.keys)) mismatches.fetch_add(1);
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(cap_violations.load(), 0u);
+    EXPECT_EQ(mismatches.load(), 0u);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.queries, query_pool.size() + kThreads * kPerThread);
+    EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries);
+    if (input.cap == 1 && input.cache == 0) {
+      EXPECT_EQ(stats.batches, stats.queries);  // one scored batch per query
+    }
   }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(cap_violations.load(), 0u);
-  EXPECT_EQ(mismatches.load(), 0u);
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.queries, query_pool.size() + kThreads * kPerThread);
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries);
 }
 
 TEST(ServiceConcurrency, MixedPerCallOverridesCoalesceByteExact) {
@@ -242,140 +258,145 @@ TEST(ServiceConcurrency, ReadersRaceWritersAndCompactionByteExact) {
   constexpr int kInserts = 160;
   constexpr int kErases = 100;
 
-  Rng rng(71);
-  BatchScoringConfig scoring;
-  scoring.threads = 2;  // the service owns a pool → maybe_compact() goes background
-  CompactionConfig compaction;
-  compaction.max_dead_fraction = 0.15;
-  compaction.min_segment_points = 24;
-  KnnService service = KnnServiceBuilder()
-                           .machines(3)
-                           .ell(kEll)
-                           .metric(kKind)
-                           .seed(13)
-                           .dim(kDim)
-                           .live()
-                           .scoring(scoring)
-                           .compaction(compaction)
-                           .coalesce(4)
-                           .cache_capacity(128)
-                           .build();
+  // Three machines, then one: a single live store behind the seat is the
+  // one-store serving setup, held to the same oracle.
+  for (const std::uint32_t machines : {3u, 1u}) {
+    SCOPED_TRACE("machines " + std::to_string(machines));
+    Rng rng(71);
+    BatchScoringConfig scoring;
+    scoring.threads = 2;  // the service owns a pool → maybe_compact() goes background
+    CompactionConfig compaction;
+    compaction.max_dead_fraction = 0.15;
+    compaction.min_segment_points = 24;
+    KnnService service = KnnServiceBuilder()
+                             .machines(machines)
+                             .ell(kEll)
+                             .metric(kKind)
+                             .seed(13)
+                             .dim(kDim)
+                             .live()
+                             .scoring(scoring)
+                             .compaction(compaction)
+                             .coalesce(4)
+                             .cache_capacity(128)
+                             .build();
 
-  std::unordered_map<PointId, PointD> shadow;
-  std::vector<PointId> live;
-  // (published epoch, live ids) after every membership change; strictly
-  // increasing epochs (see the file comment for why that holds).
-  std::vector<std::pair<std::uint64_t, std::vector<PointId>>> history;
-  std::mutex test_mutex;  // mutators only — readers never touch it
+    std::unordered_map<PointId, PointD> shadow;
+    std::vector<PointId> live;
+    // (published epoch, live ids) after every membership change; strictly
+    // increasing epochs (see the file comment for why that holds).
+    std::vector<std::pair<std::uint64_t, std::vector<PointId>>> history;
+    std::mutex test_mutex;  // mutators only — readers never touch it
 
-  {
-    const std::lock_guard<std::mutex> lock(test_mutex);
-    Rng seed_rng(72);
-    for (PointId id = 1; id <= 48; ++id) {
-      const PointD p = uniform_points(1, kDim, 50.0, seed_rng)[0];
-      shadow.emplace(id, p);
-      const std::uint64_t epoch = service.insert(p, id);
-      live.push_back(id);
-      if (id == 48) history.emplace_back(epoch, live);
-    }
-  }
-  const auto query_pool = uniform_points(16, kDim, 50.0, rng);
-
-  std::thread inserter([&] {
-    Rng irng(73);
-    PointId next_id = 1000;
-    for (int step = 0; step < kInserts; ++step) {
-      const PointD p = uniform_points(1, kDim, 50.0, irng)[0];
+    {
       const std::lock_guard<std::mutex> lock(test_mutex);
-      const PointId id = next_id++;
-      shadow.emplace(id, p);
-      const std::uint64_t epoch = service.insert(p, id);
-      live.push_back(id);
-      history.emplace_back(epoch, live);
+      Rng seed_rng(72);
+      for (PointId id = 1; id <= 48; ++id) {
+        const PointD p = uniform_points(1, kDim, 50.0, seed_rng)[0];
+        shadow.emplace(id, p);
+        const std::uint64_t epoch = service.insert(p, id);
+        live.push_back(id);
+        if (id == 48) history.emplace_back(epoch, live);
+      }
     }
-  });
-  std::thread eraser([&] {
-    Rng erng(74);
-    for (int step = 0; step < kErases; ++step) {
-      const std::lock_guard<std::mutex> lock(test_mutex);
-      if (live.size() < 8) continue;  // keep the set interesting
-      const std::size_t victim = erng.below(live.size());
-      const std::optional<std::uint64_t> epoch = service.erase(live[victim]);
-      ASSERT_TRUE(epoch.has_value());
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
-      history.emplace_back(*epoch, live);
-    }
-  });
-  std::atomic<bool> stop_compacting{false};
-  std::thread compactor([&] {
-    // No test mutex: installs land whenever they land — they advance
-    // epochs but never membership, so the oracle mapping is unaffected.
-    while (!stop_compacting.load()) {
-      (void)service.maybe_compact();
-      std::this_thread::yield();
-    }
-  });
+    const auto query_pool = uniform_points(16, kDim, 50.0, rng);
 
-  struct Recorded {
-    std::size_t query_index = 0;
-    QueryResult result;
-  };
-  std::vector<std::vector<Recorded>> recorded(kQueryThreads + 1);
-  std::vector<std::thread> readers;
-  for (std::size_t t = 0; t < kQueryThreads; ++t) {
-    readers.emplace_back([&, t] {
-      Rng qrng(7500 + t);
-      for (std::size_t i = 0; i < kQueriesPerThread; ++i) {
-        const std::size_t pick = qrng.below(query_pool.size());
-        recorded[t].push_back(Recorded{pick, service.query(query_pool[pick])});
+    std::thread inserter([&] {
+      Rng irng(73);
+      PointId next_id = 1000;
+      for (int step = 0; step < kInserts; ++step) {
+        const PointD p = uniform_points(1, kDim, 50.0, irng)[0];
+        const std::lock_guard<std::mutex> lock(test_mutex);
+        const PointId id = next_id++;
+        shadow.emplace(id, p);
+        const std::uint64_t epoch = service.insert(p, id);
+        live.push_back(id);
+        history.emplace_back(epoch, live);
       }
     });
-  }
-  readers.emplace_back([&] {
-    Rng qrng(7600);
-    for (std::size_t round = 0; round < kBatchRounds; ++round) {
-      std::vector<std::size_t> picks(3);
-      std::vector<PointD> block;
-      for (auto& pick : picks) {
-        pick = qrng.below(query_pool.size());
-        block.push_back(query_pool[pick]);
+    std::thread eraser([&] {
+      Rng erng(74);
+      for (int step = 0; step < kErases; ++step) {
+        const std::lock_guard<std::mutex> lock(test_mutex);
+        if (live.size() < 8) continue;  // keep the set interesting
+        const std::size_t victim = erng.below(live.size());
+        const std::optional<std::uint64_t> epoch = service.erase(live[victim]);
+        ASSERT_TRUE(epoch.has_value());
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+        history.emplace_back(*epoch, live);
       }
-      BatchQueryResult results = service.query_batch(block);
-      for (std::size_t i = 0; i < picks.size(); ++i) {
-        recorded[kQueryThreads].push_back(
-            Recorded{picks[i], std::move(results.per_query[i])});
+    });
+    std::atomic<bool> stop_compacting{false};
+    std::thread compactor([&] {
+      // No test mutex: installs land whenever they land — they advance
+      // epochs but never membership, so the oracle mapping is unaffected.
+      while (!stop_compacting.load()) {
+        (void)service.maybe_compact();
+        std::this_thread::yield();
+      }
+    });
+
+    struct Recorded {
+      std::size_t query_index = 0;
+      QueryResult result;
+    };
+    std::vector<std::vector<Recorded>> recorded(kQueryThreads + 1);
+    std::vector<std::thread> readers;
+    for (std::size_t t = 0; t < kQueryThreads; ++t) {
+      readers.emplace_back([&, t] {
+        Rng qrng(7500 + t);
+        for (std::size_t i = 0; i < kQueriesPerThread; ++i) {
+          const std::size_t pick = qrng.below(query_pool.size());
+          recorded[t].push_back(Recorded{pick, service.query(query_pool[pick])});
+        }
+      });
+    }
+    readers.emplace_back([&] {
+      Rng qrng(7600);
+      for (std::size_t round = 0; round < kBatchRounds; ++round) {
+        std::vector<std::size_t> picks(3);
+        std::vector<PointD> block;
+        for (auto& pick : picks) {
+          pick = qrng.below(query_pool.size());
+          block.push_back(query_pool[pick]);
+        }
+        BatchQueryResult results = service.query_batch(block);
+        for (std::size_t i = 0; i < picks.size(); ++i) {
+          recorded[kQueryThreads].push_back(
+              Recorded{picks[i], std::move(results.per_query[i])});
+        }
+      }
+    });
+
+    inserter.join();
+    eraser.join();
+    for (auto& thread : readers) thread.join();
+    stop_compacting.store(true);
+    compactor.join();
+
+    const auto live_at = [&](std::uint64_t epoch) -> const std::vector<PointId>& {
+      std::size_t best = 0;
+      for (std::size_t i = 0; i < history.size(); ++i) {
+        if (history[i].first <= epoch) best = i;
+      }
+      return history[best].second;
+    };
+    std::size_t verified = 0;
+    for (std::size_t t = 0; t < recorded.size(); ++t) {
+      for (const Recorded& rec : recorded[t]) {
+        ASSERT_NO_FATAL_FAILURE(expect_same_keys(
+            member_oracle(shadow, live_at(rec.result.epoch), query_pool[rec.query_index], kEll),
+            rec.result.keys,
+            "reader " + std::to_string(t) + " epoch " + std::to_string(rec.result.epoch)));
+        EXPECT_TRUE(rec.result.coverage.complete());
+        ++verified;
       }
     }
-  });
-
-  inserter.join();
-  eraser.join();
-  for (auto& thread : readers) thread.join();
-  stop_compacting.store(true);
-  compactor.join();
-
-  const auto live_at = [&](std::uint64_t epoch) -> const std::vector<PointId>& {
-    std::size_t best = 0;
-    for (std::size_t i = 0; i < history.size(); ++i) {
-      if (history[i].first <= epoch) best = i;
-    }
-    return history[best].second;
-  };
-  std::size_t verified = 0;
-  for (std::size_t t = 0; t < recorded.size(); ++t) {
-    for (const Recorded& rec : recorded[t]) {
-      ASSERT_NO_FATAL_FAILURE(expect_same_keys(
-          member_oracle(shadow, live_at(rec.result.epoch), query_pool[rec.query_index], kEll),
-          rec.result.keys,
-          "reader " + std::to_string(t) + " epoch " + std::to_string(rec.result.epoch)));
-      EXPECT_TRUE(rec.result.coverage.complete());
-      ++verified;
-    }
+    EXPECT_EQ(verified, kQueryThreads * kQueriesPerThread + kBatchRounds * 3);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.queries, verified);
+    EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries);
   }
-  EXPECT_EQ(verified, kQueryThreads * kQueriesPerThread + kBatchRounds * 3);
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.queries, verified);
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries);
 }
 
 TEST(ServiceConcurrency, FaultTolerantReadersSurviveKillRecoverChurn) {
