@@ -15,8 +15,10 @@
 ///   * duplicate — the message transmits twice back to back with the same
 ///                 sequence number.  The network delivers both copies (and
 ///                 both consume link bandwidth under bounded policies); the
-///                 engine's Ctx suppresses the repeat by (src, seq) — at-
-///                 most-once delivery — so protocols stay correct while
+///                 copy sits directly behind its original on the link FIFO,
+///                 so the engine's Ctx suppresses it by comparing its seq
+///                 with the last one delivered from the same source — at-
+///                 most-once delivery — and protocols stay correct while
 ///                 their traffic timing is still perturbed.
 ///
 /// Determinism contract: the drop decision consumes exactly one bernoulli

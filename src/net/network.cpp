@@ -17,6 +17,18 @@ Network::Network(NetworkConfig config) : config_(config) {
   send_seq_.assign(k, 0);
 }
 
+void Network::DirectedLink::pop_front() {
+  if (++head == queue.size()) {
+    queue.clear();
+    head = 0;
+  } else if (head >= 32 && head * 2 >= queue.size()) {
+    // Keep a long-lived backlog (Chunked bandwidth) from growing without
+    // bound: drop the consumed prefix once it is at least half the vector.
+    queue.erase(queue.begin(), queue.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+}
+
 std::size_t Network::link_index(MachineId src, MachineId dst) const {
   return static_cast<std::size_t>(src) * config_.world_size + dst;
 }
@@ -57,7 +69,10 @@ void Network::send(Envelope env) {
   stats_.on_send(env);
   if (decision.action == FaultAction::Duplicate) {
     // A spurious network-level duplicate: same seq, queued right behind
-    // the original on the same FIFO (both copies count as traffic).
+    // the original on the same FIFO (both copies count as traffic).  Keep
+    // them adjacent: Ctx drops a repeat by comparing with the last seq
+    // delivered from the source, which is only exact if nothing from that
+    // source can arrive between the two copies.
     Envelope copy = env;
     stats_.on_send(copy);
     enqueue(std::move(env));
@@ -79,7 +94,7 @@ void Network::enqueue(Envelope env) {
 
   ++in_flight_;
   auto& link = links_[link_index(env.src, env.dst)];
-  if (link.queue.empty()) busy_sources_[env.dst].push_back(env.src);
+  if (link.empty()) busy_sources_[env.dst].push_back(env.src);
   const std::uint64_t bits = std::max<std::uint64_t>(env.payload_bits(), 1);  // empty msg = 1 bit
   link.queue.push_back(InTransit{std::move(env), bits});
 }
@@ -116,32 +131,30 @@ void Network::end_round(std::uint64_t round) {
     // Rotate the drain order each round (deterministically) so a saturated
     // NIC serves every sender fairly instead of letting low ids starve the
     // rest.  Only links with queued traffic are visited: O(active links).
-    std::vector<MachineId> still_busy;
-    still_busy.reserve(busy.size());
     const std::size_t offset = static_cast<std::size_t>(round) % busy.size();
     for (std::size_t step = 0; step < busy.size(); ++step) {
       const MachineId src = busy[(step + offset) % busy.size()];
       auto& link = links_[link_index(src, dst)];
       link.bits_this_round = 0;
       std::uint64_t budget = unlimited ? kInfinite : std::min(config_.bits_per_round, ingress);
-      while (!link.queue.empty() && budget > 0) {
-        InTransit& head = link.queue.front();
-        const std::uint64_t sent = std::min(budget, head.bits_remaining);
-        head.bits_remaining -= sent;
+      while (!link.empty() && budget > 0) {
+        InTransit& front = link.queue[link.head];
+        const std::uint64_t sent = std::min(budget, front.bits_remaining);
+        front.bits_remaining -= sent;
         if (budget != kInfinite) budget -= sent;
         if (ingress != kInfinite) ingress -= sent;
-        if (head.bits_remaining == 0) {
-          stats_.on_deliver(head.env, round + 1);
-          mailboxes_[dst].push_back(std::move(head.env));
-          link.queue.pop_front();
+        if (front.bits_remaining == 0) {
+          stats_.on_deliver(front.env, round + 1);
+          mailboxes_[dst].push_back(std::move(front.env));
+          link.pop_front();
           --in_flight_;
         } else {
           break;  // link budget exhausted mid-message
         }
       }
-      if (!link.queue.empty()) still_busy.push_back(src);
     }
-    busy = std::move(still_busy);
+    // Drained links leave the busy list (in place; it stays sorted).
+    std::erase_if(busy, [&](MachineId src) { return links_[link_index(src, dst)].empty(); });
   }
 }
 

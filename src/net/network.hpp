@@ -24,7 +24,6 @@
 /// fit in O(log n)-bit links).
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -62,7 +61,9 @@ enum class FaultAction : std::uint8_t {
   Deliver,    ///< normal transmission
   Drop,       ///< vanish silently (not counted as sent)
   Delay,      ///< enter the link `delay_rounds` rounds late
-  Duplicate,  ///< transmit twice back to back (same seq — a true duplicate)
+  Duplicate,  ///< transmit twice back to back (same seq — a true duplicate);
+              ///< the copy is queued directly behind its original on the
+              ///< same link, which Ctx's O(1) duplicate check relies on
 };
 
 struct FaultDecision {
@@ -115,9 +116,19 @@ private:
     Envelope env;
     std::uint64_t bits_remaining = 0;
   };
+  /// One directed link's FIFO: a vector plus a head index.  Transmitted
+  /// messages advance `head`; the vector is cleared (keeping its capacity)
+  /// when the link drains and compacted when the consumed prefix outgrows
+  /// the live tail, so pops are O(1) amortized and a link that never
+  /// carries traffic never allocates.  Construction of the k² links is a
+  /// zero-fill, not k² heap allocations.
   struct DirectedLink {
-    std::deque<InTransit> queue;        ///< FIFO awaiting transmission
+    std::vector<InTransit> queue;       ///< [head, size) awaits transmission
+    std::size_t head = 0;
     std::uint64_t bits_this_round = 0;  ///< Strict-mode accounting
+
+    [[nodiscard]] bool empty() const { return head == queue.size(); }
+    void pop_front();
   };
 
   [[nodiscard]] std::size_t link_index(MachineId src, MachineId dst) const;

@@ -15,27 +15,21 @@ std::uint8_t Reader::get_u8() {
   return static_cast<std::uint8_t>((*data_)[pos_++]);
 }
 
-std::uint16_t Reader::get_u16() {
-  const auto lo = static_cast<std::uint16_t>(get_u8());
-  const auto hi = static_cast<std::uint16_t>(get_u8());
-  return static_cast<std::uint16_t>(lo | (hi << 8));
-}
-
-std::uint32_t Reader::get_u32() {
-  std::uint32_t v = 0;
-  for (int shift = 0; shift < 32; shift += 8) {
-    v |= static_cast<std::uint32_t>(get_u8()) << shift;
+template <typename U>
+U Reader::get_le() {
+  need(sizeof(U));
+  const std::byte* p = data_->data() + pos_;
+  U v = 0;
+  for (std::size_t i = 0; i < sizeof(U); ++i) {
+    v |= static_cast<U>(static_cast<U>(p[i]) << (8 * i));
   }
+  pos_ += sizeof(U);
   return v;
 }
 
-std::uint64_t Reader::get_u64() {
-  std::uint64_t v = 0;
-  for (int shift = 0; shift < 64; shift += 8) {
-    v |= static_cast<std::uint64_t>(get_u8()) << shift;
-  }
-  return v;
-}
+std::uint16_t Reader::get_u16() { return get_le<std::uint16_t>(); }
+std::uint32_t Reader::get_u32() { return get_le<std::uint32_t>(); }
+std::uint64_t Reader::get_u64() { return get_le<std::uint64_t>(); }
 
 double Reader::get_f64() { return std::bit_cast<double>(get_u64()); }
 

@@ -36,6 +36,9 @@ public:
 
 private:
   void need(std::size_t n) const;
+  /// Fixed-width little-endian read: one bounds check for the whole value.
+  template <typename U>
+  [[nodiscard]] U get_le();
 
   const Bytes* data_;
   std::size_t pos_ = 0;

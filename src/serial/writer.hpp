@@ -47,6 +47,13 @@ public:
   [[nodiscard]] std::size_t size() const { return buffer_.size(); }
 
 private:
+  /// Appends `n` bytes (reserving the initial capacity on first use) and
+  /// returns where they start.
+  [[nodiscard]] std::byte* grow(std::size_t n);
+  /// Fixed-width little-endian write of an unsigned integer, in one append.
+  template <typename U>
+  void put_le(U v);
+
   Bytes buffer_;
 };
 

@@ -11,10 +11,8 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "net/types.hpp"
@@ -71,7 +69,7 @@ public:
   [[nodiscard]] std::optional<Envelope> try_take_any(std::span<const Tag> tags);
 
   /// Number of undelivered mailbox messages (diagnostics/tests).
-  [[nodiscard]] std::size_t mailbox_size() const { return mailbox_.size(); }
+  [[nodiscard]] std::size_t mailbox_size() const { return mailbox_size_; }
 
   /// Round barrier; `co_await ctx.round()` resumes at the next superstep.
   [[nodiscard]] RoundBarrier round();
@@ -108,14 +106,45 @@ private:
   std::uint32_t world_;
   Rng rng_;
   std::uint64_t round_ = 0;
-  std::deque<Envelope> mailbox_;
-  /// At-most-once delivery: sequence numbers already seen, per source.
-  /// Senders stamp a monotone per-link seq, so a network-level duplicate
-  /// (fault injection) is suppressed here — it still burned link bandwidth
-  /// in transit, but machine programs never observe a spurious repeat.
-  /// A set (not a high-water mark) because delayed messages may legally
-  /// arrive out of seq order.
-  std::vector<std::unordered_set<std::uint64_t>> seen_seq_;
+  /// A delivered message and its arrival number (a per-machine counter in
+  /// delivery order).  A taken slot is marked with kTaken.
+  struct Queued {
+    std::uint64_t arrival = 0;
+    Envelope env;
+  };
+  static constexpr std::uint64_t kTaken = ~std::uint64_t{0};
+
+  /// One FIFO per tag: the slots in [head, size) in arrival order, taken
+  /// ones marked.  `head` always rests on an untaken slot or the end, so
+  /// try_take is O(1) and try_take_any compares one arrival number per
+  /// requested tag.  A drained queue is cleared in place and keeps its
+  /// capacity for the next round's mail.
+  struct TagQueue {
+    Tag tag = 0;
+    std::size_t head = 0;
+    std::vector<Queued> slots;
+  };
+
+  /// The queue for `tag`, or nullptr if that tag never had mail.
+  [[nodiscard]] TagQueue* find_queue(Tag tag);
+  /// Moves out the envelope at `queue.slots[pos]` and marks the slot taken.
+  [[nodiscard]] Envelope take_at(TagQueue& queue, std::size_t pos);
+
+  /// The mailbox, indexed by tag.  Protocols use a handful of tags, so the
+  /// lookup is a linear scan of this short list.
+  std::vector<TagQueue> mailbox_;
+  std::size_t mailbox_size_ = 0;
+  std::uint64_t next_arrival_ = 0;
+  /// At-most-once delivery: the last sequence number delivered from each
+  /// source.  A network-level duplicate (FaultAction::Duplicate) is queued
+  /// directly behind its original on the same directed link FIFO, and
+  /// every sender's seq is unique, so a repeat is exactly a message whose
+  /// seq equals the last one seen from its source — it still burned link
+  /// bandwidth in transit, but machine programs never observe it.  A
+  /// delayed message may arrive after higher seqs from the same source; it
+  /// differs from the last seq and is delivered.  Delayed messages are
+  /// never duplicated (one fault action per message).
+  std::vector<std::uint64_t> last_seq_;
   std::vector<Envelope> outbox_;
   std::coroutine_handle<> resume_point_ = nullptr;
   bool mail_wait_ = false;     ///< parked on a MailBarrier

@@ -51,6 +51,54 @@ TEST(Integration, ParallelExecutorMatchesSequentialOnDistKnn) {
   EXPECT_EQ(seq_result.iterations, par_result.iterations);
 }
 
+// --- golden protocol cost ---------------------------------------------------------------
+
+// A k=64, ℓ=64 Algorithm 2 batch (the perfbench protocol_k64 shape) over
+// pre-capped keys.  The answers are checked against brute force, and every
+// query's round count plus the batch's message and bit totals are pinned to
+// constants: a rewrite of the sim/net/serial message path may change how
+// fast messages move, never how many rounds, messages or bits the protocol
+// costs.  Checked under both executors.
+TEST(Integration, GoldenProtocolCostK64) {
+  constexpr std::uint32_t k = 64;
+  constexpr std::uint64_t ell = 64;
+  constexpr std::size_t queries = 16;
+  std::vector<std::vector<std::vector<Key>>> batch;
+  for (std::size_t q = 0; q < queries; ++q) {
+    auto scored = scored_fixture(k * 256, k, 100 + q);
+    for (auto& shard : scored) {
+      std::sort(shard.begin(), shard.end());
+      if (shard.size() > ell) shard.resize(ell);
+    }
+    batch.push_back(std::move(scored));
+  }
+  // Recorded before the allocation-free message path replaced the deque
+  // mailbox and link queues; the rewrite moved none of them.
+  constexpr std::uint64_t kRounds[queries] = {45, 34, 50, 66, 22, 44, 26, 26,
+                                              54, 42, 30, 34, 22, 50, 50, 66};
+  constexpr std::uint64_t kMessages = 75630;
+  constexpr std::uint64_t kBits = 10553592;
+
+  for (const bool parallel : {false, true}) {
+    EngineConfig config;
+    config.world_size = k;
+    config.seed = 12;
+    config.measure_compute = false;
+    config.parallel = parallel;
+    config.threads = 4;
+    const BatchRunResult result = run_knn_batch(batch, ell, KnnAlgo::DistKnn, config);
+    ASSERT_EQ(result.per_query.size(), queries);
+    for (std::size_t q = 0; q < queries; ++q) {
+      EXPECT_EQ(result.per_query[q].keys, expected_smallest(batch[q], ell))
+          << "query " << q << " parallel " << parallel;
+      EXPECT_EQ(result.per_query[q].report.rounds, kRounds[q])
+          << "query " << q << " parallel " << parallel;
+    }
+    EXPECT_EQ(result.report.traffic.messages_sent(), kMessages) << "parallel " << parallel;
+    EXPECT_EQ(result.report.traffic.bits_sent(), kBits) << "parallel " << parallel;
+  }
+}
+
 // --- cost model: the Figure 2 mechanism ------------------------------------------------
 
 TEST(Integration, BspCostPrefersAlgorithm2AtLargeEll) {

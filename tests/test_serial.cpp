@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "data/key.hpp"
 #include "rng/rng.hpp"
 #include "serial/codec.hpp"
 #include "serial/reader.hpp"
@@ -39,6 +40,13 @@ TEST(Serial, FixedWidthRoundTrip) {
   EXPECT_TRUE(r.exhausted());
 }
 
+/// The buffer as plain ints, for exact byte comparisons.
+std::vector<int> bytes_of(const Bytes& b) {
+  std::vector<int> out;
+  for (const std::byte x : b) out.push_back(std::to_integer<int>(x));
+  return out;
+}
+
 TEST(Serial, LittleEndianLayout) {
   Writer w;
   w.put_u32(0x01020304);
@@ -46,6 +54,64 @@ TEST(Serial, LittleEndianLayout) {
   ASSERT_EQ(b.size(), 4u);
   EXPECT_EQ(std::to_integer<int>(b[0]), 0x04);
   EXPECT_EQ(std::to_integer<int>(b[3]), 0x01);
+
+  // Known answers for every fixed-width writer, back to back in one
+  // buffer: each value's least significant byte goes first.
+  Writer all;
+  all.put_u16(0xA1B2);
+  all.put_u32(0xC1D2E3F4);
+  all.put_u64(0x0102030405060708ULL);
+  all.put_f64(-2.5);  // IEEE-754: 0xC004000000000000
+  all.put_u8(0x7F);
+  EXPECT_EQ(bytes_of(all.buffer()),
+            (std::vector<int>{0xB2, 0xA1,                                    // u16
+                              0xF4, 0xE3, 0xD2, 0xC1,                        // u32
+                              0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // u64
+                              0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0xC0,  // f64
+                              0x7F}));
+}
+
+TEST(Serial, LittleEndianLayoutPastInitialReservation) {
+  // Enough fixed-width fields to outgrow the writer's first reservation
+  // several times over: regrowth must neither drop nor reorder bytes.
+  Writer w;
+  std::vector<int> expected;
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    const std::uint64_t v = 0x1111111111111111ULL * (i % 15) + i;
+    w.put_u64(v);
+    for (int shift = 0; shift < 64; shift += 8) {
+      expected.push_back(static_cast<int>((v >> shift) & 0xFF));
+    }
+    w.put_u16(static_cast<std::uint16_t>(i * 257));
+    expected.push_back(static_cast<int>((i * 257) & 0xFF));
+    expected.push_back(static_cast<int>(((i * 257) >> 8) & 0xFF));
+    w.put_varint(i);  // i < 128: one byte
+    expected.push_back(static_cast<int>(i));
+  }
+  ASSERT_EQ(w.size(), 100u * 11u);
+  EXPECT_EQ(bytes_of(w.buffer()), expected);
+  EXPECT_EQ(bit_size(w.buffer()), 8u * expected.size());
+  Reader r(w.buffer());
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(r.get_u64(), 0x1111111111111111ULL * (i % 15) + i);
+    EXPECT_EQ(r.get_u16(), static_cast<std::uint16_t>(i * 257));
+    EXPECT_EQ(r.get_varint(), i);
+  }
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(Serial, SampleMessageWireBytes) {
+  // Algorithm 2's sample message is an attempt byte plus a Key: the bytes
+  // (and so the bits the network charges per sample) are exactly these 17.
+  Writer w;
+  w.put_u8(3);
+  encode(w, Key{0x0A0B0C0D0E0F1011ULL, 0x2122232425262728ULL});
+  EXPECT_EQ(bytes_of(w.buffer()),
+            (std::vector<int>{0x03,                                            // attempt
+                              0x11, 0x10, 0x0F, 0x0E, 0x0D, 0x0C, 0x0B, 0x0A,  // rank
+                              0x28, 0x27, 0x26, 0x25, 0x24, 0x23, 0x22, 0x21}));  // id
+  EXPECT_EQ(bit_size(w.buffer()), 136u);
+  EXPECT_EQ(bit_size(to_bytes(Key{1, 2})), 128u);
 }
 
 TEST(Serial, VarintKnownEncodings) {

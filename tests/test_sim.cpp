@@ -10,7 +10,9 @@
 
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "net/fault.hpp"
@@ -381,6 +383,172 @@ TEST(Engine, MeasuredComputeIsPositiveWhenEnabled) {
   EXPECT_GT(report.critical_path_comp_ns, 0u);
   EXPECT_GE(report.total_comp_ns, report.critical_path_comp_ns);
   EXPECT_EQ(report.round_max_comp_ns.size(), report.rounds);
+}
+
+// --- mailbox semantics -------------------------------------------------------------------
+//
+// The mailbox keeps one FIFO per tag and stamps every delivery with an
+// arrival number; these tests pin the observable order that replaces the
+// old single scanned queue.
+
+/// Builds deliveries for a Ctx under test: each source's messages carry
+/// distinct, increasing sequence numbers (as the network stamps them), and
+/// the payload is `value`.
+class Mail {
+ public:
+  Mail& add(MachineId src, Tag tag, std::uint64_t value) {
+    Envelope env;
+    env.src = src;
+    env.dst = 0;
+    env.tag = tag;
+    env.payload = to_bytes(value);
+    env.seq = next_seq_[src]++;
+    batch_.push_back(std::move(env));
+    return *this;
+  }
+  std::vector<Envelope> take() { return std::exchange(batch_, {}); }
+
+ private:
+  std::vector<Envelope> batch_;
+  std::vector<std::uint64_t> next_seq_ = std::vector<std::uint64_t>(8, 0);
+};
+
+std::uint64_t value_of(const std::optional<Envelope>& env) {
+  if (!env) throw std::runtime_error("expected a message");
+  return from_bytes<std::uint64_t>(env->payload);
+}
+
+TEST(Mailbox, TryTakeAnyReturnsEarliestArrivalAcrossTags) {
+  Ctx ctx(0, 4, Rng(1));
+  Mail mail;
+  mail.add(1, 20, 100).add(2, 10, 101).add(3, 20, 102);
+  ctx.engine_deliver(mail.take());
+  mail.add(2, 30, 103).add(1, 10, 104);
+  ctx.engine_deliver(mail.take());
+
+  // The order of `tags` never matters; arrival order decides.
+  const std::vector<Tag> forward = {10, 20, 30};
+  const std::vector<Tag> backward = {30, 20, 10};
+  EXPECT_EQ(value_of(ctx.try_take_any(backward)), 100u);
+  EXPECT_EQ(value_of(ctx.try_take_any(forward)), 101u);
+  EXPECT_EQ(value_of(ctx.try_take_any(backward)), 102u);
+  // A later delivery batch arrives after every earlier one.
+  const std::vector<Tag> only_10_30 = {10, 30};
+  EXPECT_EQ(value_of(ctx.try_take_any(only_10_30)), 103u);
+  EXPECT_EQ(value_of(ctx.try_take_any(only_10_30)), 104u);
+  EXPECT_FALSE(ctx.try_take_any(forward).has_value());
+  const std::vector<Tag> unknown = {99};
+  EXPECT_FALSE(ctx.try_take_any(unknown).has_value());
+}
+
+TEST(Mailbox, TryTakeFromSkipsOtherSendersAndKeepsPerSenderFifo) {
+  Ctx ctx(0, 4, Rng(1));
+  Mail mail;
+  mail.add(1, 5, 10).add(2, 5, 20).add(1, 5, 11).add(3, 5, 30).add(2, 5, 21).add(2, 6, 90);
+  ctx.engine_deliver(mail.take());
+
+  EXPECT_EQ(value_of(ctx.try_take_from(2, 5)), 20u);
+  EXPECT_EQ(value_of(ctx.try_take_from(2, 5)), 21u);
+  EXPECT_FALSE(ctx.try_take_from(2, 5).has_value());  // sender 2's tag-6 mail is not tag 5
+  EXPECT_EQ(value_of(ctx.try_take(5)), 10u);           // the oldest remaining tag-5 message
+  EXPECT_EQ(value_of(ctx.try_take_from(3, 5)), 30u);   // taken from behind sender 1's
+  EXPECT_EQ(value_of(ctx.try_take(5)), 11u);
+  EXPECT_FALSE(ctx.try_take(5).has_value());
+  EXPECT_EQ(value_of(ctx.try_take_from(2, 6)), 90u);
+}
+
+TEST(Mailbox, SizeStaysExactAcrossMixedTakes) {
+  Ctx ctx(0, 4, Rng(1));
+  Mail mail;
+  EXPECT_EQ(ctx.mailbox_size(), 0u);
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    mail.add(static_cast<MachineId>(1 + i % 3), static_cast<Tag>(1 + i % 2), i);
+  }
+  ctx.engine_deliver(mail.take());
+  EXPECT_EQ(ctx.mailbox_size(), 12u);
+  (void)ctx.try_take(1);
+  EXPECT_EQ(ctx.mailbox_size(), 11u);
+  (void)ctx.try_take_from(3, 2);
+  EXPECT_EQ(ctx.mailbox_size(), 10u);
+  (void)ctx.try_take_from(3, 7);  // no such tag: nothing taken
+  EXPECT_EQ(ctx.mailbox_size(), 10u);
+  const std::vector<Tag> both = {2, 1};
+  (void)ctx.try_take_any(both);
+  EXPECT_EQ(ctx.mailbox_size(), 9u);
+  mail.add(1, 1, 50).add(2, 3, 51);
+  ctx.engine_deliver(mail.take());
+  EXPECT_EQ(ctx.mailbox_size(), 11u);
+  std::size_t drained = 0;
+  while (ctx.try_take_any(both)) ++drained;
+  while (ctx.try_take(3)) ++drained;
+  EXPECT_EQ(drained, 11u);
+  EXPECT_EQ(ctx.mailbox_size(), 0u);
+  // A drained mailbox takes new mail as before.
+  mail.add(2, 1, 60);
+  ctx.engine_deliver(mail.take());
+  EXPECT_EQ(ctx.mailbox_size(), 1u);
+  EXPECT_EQ(value_of(ctx.try_take(1)), 60u);
+}
+
+constexpr Tag kFloodTag = 9;
+constexpr Tag kSignalTag = 7;
+constexpr std::uint64_t kFloodRounds = 6;
+constexpr std::uint64_t kFloodPerRound = 200;
+constexpr std::uint64_t kSignalRound = 3;
+
+/// Machines 1.. flood machine 0 with kFloodTag mail every round and send one
+/// kSignalTag message in round kSignalRound; machine 0 blocks in recv_n on
+/// the signal tag, then drains the flood.
+Task<void> flood_program(Ctx& ctx, std::uint64_t* woke_round, std::size_t* mail_at_wake,
+                         std::size_t* flood_drained, bool* flood_fifo) {
+  if (ctx.id() != 0) {
+    for (std::uint64_t r = 0; r < kFloodRounds; ++r) {
+      for (std::uint64_t i = 0; i < kFloodPerRound; ++i) {
+        ctx.send_value<std::uint64_t>(0, kFloodTag, r * kFloodPerRound + i);
+      }
+      if (r == kSignalRound) ctx.send_value<std::uint64_t>(0, kSignalTag, ctx.id());
+      co_await ctx.round();
+    }
+    co_return;
+  }
+  const auto signals = co_await recv_n(ctx, kSignalTag, ctx.world() - 1);
+  *woke_round = ctx.current_round();
+  *mail_at_wake = ctx.mailbox_size();
+  co_await skip_rounds(ctx, kFloodRounds);  // let the rest of the flood land
+  std::vector<std::uint64_t> last(ctx.world(), 0);
+  std::vector<bool> any(ctx.world(), false);
+  *flood_fifo = signals.size() == ctx.world() - 1;
+  while (auto env = ctx.try_take(kFloodTag)) {
+    const auto v = from_bytes<std::uint64_t>(env->payload);
+    if (any[env->src] && v != last[env->src] + 1) *flood_fifo = false;
+    any[env->src] = true;
+    last[env->src] = v;
+    ++*flood_drained;
+  }
+}
+
+TEST(Mailbox, RecvNIsNotStarvedByAFloodOfAnotherTag) {
+  constexpr std::uint32_t k = 5;
+  for (const bool parallel : {false, true}) {
+    auto config = basic_config(k);
+    config.parallel = parallel;
+    config.threads = 4;
+    Engine engine(config);
+    std::uint64_t woke_round = 0;
+    std::size_t mail_at_wake = 0;
+    std::size_t flood_drained = 0;
+    bool flood_fifo = false;
+    (void)engine.run([&](Ctx& ctx) {
+      return flood_program(ctx, &woke_round, &mail_at_wake, &flood_drained, &flood_fifo);
+    });
+    // Sent in round kSignalRound, delivered at the start of the next: the
+    // machine wakes in exactly that round, with the flood still queued.
+    EXPECT_EQ(woke_round, kSignalRound + 1) << "parallel " << parallel;
+    EXPECT_EQ(mail_at_wake, (k - 1) * kFloodPerRound * (kSignalRound + 1))
+        << "parallel " << parallel;
+    EXPECT_EQ(flood_drained, (k - 1) * kFloodPerRound * kFloodRounds) << "parallel " << parallel;
+    EXPECT_TRUE(flood_fifo) << "parallel " << parallel;
+  }
 }
 
 // --- misc engine invariants -------------------------------------------------------------
