@@ -207,34 +207,6 @@ std::vector<std::vector<Key>> quantize_scored_shards(std::vector<std::vector<Key
   return shards;
 }
 
-std::vector<FlatStore> make_flat_stores(const std::vector<VectorShard>& shards) {
-  std::vector<FlatStore> stores;
-  stores.reserve(shards.size());
-  for (const auto& shard : shards) {
-    DKNN_REQUIRE(shard.points.size() == shard.ids.size(), "shard points/ids must align");
-    stores.emplace_back(std::span<const PointD>(shard.points),
-                        std::span<const PointId>(shard.ids));
-  }
-  return stores;
-}
-
-std::vector<std::vector<std::vector<Key>>> score_vector_shards_batch(
-    const std::vector<FlatStore>& stores, std::span<const PointD> queries, std::uint64_t ell,
-    MetricKind kind) {
-  std::vector<std::vector<std::vector<Key>>> out(queries.size());
-  for (auto& per_shard : out) per_shard.resize(stores.size());
-  KernelScratch scratch;
-  std::vector<std::vector<Key>> shard_keys;
-  for (std::size_t m = 0; m < stores.size(); ++m) {
-    // Shard-outer order: each SoA store streams through cache once for the
-    // whole query block.
-    fused_top_ell_batch(stores[m], queries, static_cast<std::size_t>(ell), kind, shard_keys,
-                        scratch);
-    for (std::size_t q = 0; q < queries.size(); ++q) out[q][m] = std::move(shard_keys[q]);
-  }
-  return out;
-}
-
 std::vector<ShardIndex> make_shard_indexes(const std::vector<VectorShard>& shards,
                                            ScoringPolicy policy, std::size_t leaf_size,
                                            const ann::AnnConfig& ann) {
@@ -281,19 +253,18 @@ void reset_tree_stats(const std::vector<ShardIndex>& indexes) {
 
 namespace {
 
-/// One (shard, query block) tile through the shard's policy path.  With
-/// `approx` set and a graph slot attached, the beam search replaces the
-/// brute scan (recall semantics — see src/ann/README.md); graph-less
-/// shards ignore the flag and score exactly.
+/// One (shard, query block) tile through the shard's policy path: the
+/// kd-hybrid for a tree shard, the beam search for a graph-carrying
+/// (Approx) shard — recall semantics, see src/ann/README.md — and the
+/// fused scan otherwise.
 void score_tile(const ShardIndex& index, std::span<const PointD> queries, std::uint64_t ell,
-                MetricKind kind, bool approx, std::vector<std::vector<Key>>& keys,
-                KernelScratch& scratch) {
+                MetricKind kind, std::vector<std::vector<Key>>& keys, KernelScratch& scratch) {
   if (index.has_tree()) {
     hybrid_top_ell_batch(*index.tree, queries, static_cast<std::size_t>(ell), kind, keys,
                          scratch);
     return;
   }
-  if (approx && index.ann != nullptr) {
+  if (index.ann != nullptr) {
     const ann::KnnGraph& graph = index.ann->get_or_build(index.store());
     const std::size_t ef = std::max<std::size_t>(index.ann->config().ef, ell);
     ann::AnnSearchScratch ann_scratch;
@@ -308,6 +279,32 @@ void score_tile(const ShardIndex& index, std::span<const PointD> queries, std::u
                       scratch);
 }
 
+/// A live machine's tile: every live segment of its snapshot (delta
+/// mirror, kd-hybrid and graph segments included), merged.
+void score_tile(const SnapshotPtr& snapshot, std::span<const PointD> queries,
+                std::uint64_t ell, MetricKind kind, std::vector<std::vector<Key>>& keys,
+                KernelScratch& scratch) {
+  snapshot_top_ell_batch(*snapshot, queries, static_cast<std::size_t>(ell), kind, keys,
+                         scratch);
+}
+
+/// The store a shard brute-scans, or null when the slab splitter must
+/// treat it as opaque: a kd-tree shard's traversal is hierarchical, not a
+/// row scan, and an approx shard's beam search walks the whole graph from
+/// fixed seeds.
+const FlatStore* scanned_store(const ShardIndex& index) {
+  if (index.has_tree() || index.ann != nullptr) return nullptr;
+  return &index.store();
+}
+
+/// Snapshots are opaque to the splitter: segmentation already bounds scan
+/// length per segment, and compaction governs segment size.
+const FlatStore* scanned_store(const SnapshotPtr&) { return nullptr; }
+
+/// Whether a machine has data to score; only a skipped machine may lack it.
+bool present(const ShardIndex&) { return true; }
+bool present(const SnapshotPtr& snapshot) { return snapshot != nullptr; }
+
 /// Smallest auto slab: kSlabRowsPerEll rows per heap entry, and never
 /// below kMinSlabRows.  Every slab pays a heap warm-up per query — about
 /// ℓ·(1 + ln(rows/ℓ)) accepts before its threshold settles, ~30 µs at
@@ -317,14 +314,17 @@ void score_tile(const ShardIndex& index, std::span<const PointD> queries, std::u
 constexpr std::size_t kSlabRowsPerEll = 512;
 constexpr std::size_t kMinSlabRows = 4096;
 
-/// Shared tiling engine of the batched scoring overloads — serial
-/// shard-outer below the parallel threshold, otherwise tiled over the
-/// work-stealing pool.  Each task owns disjoint pre-sized slots, so the
-/// assembled result is independent of the steal schedule.
+/// The one per-machine scorer behind both batch entries (`Source` is a
+/// ShardIndex or a SnapshotPtr) — serial shard-outer below the parallel
+/// threshold, otherwise tiled over the work-stealing pool.  Each task owns
+/// disjoint pre-sized slots, so the assembled result is independent of the
+/// steal schedule.  `skip` (empty = score every machine) marks machines
+/// whose slots stay empty; skipped machines are opaque to the splitter and
+/// are never touched.
 ///
 /// Point-major tiling: on the pool path a machine whose
-/// `scanned_store(m)` is a non-empty FlatStore (a brute-scanned shard) is
-/// cut into row slabs, and each task scores one slab against the whole
+/// `scanned_store(source)` is a non-empty FlatStore (a brute-scanned shard)
+/// is cut into row slabs, and each task scores one slab against the whole
 /// query batch through fused_top_ell_ranges — the batched range kernel
 /// loads each column once per register block of queries, so the batch
 /// shares every column pass.  Auto slabs hold about
@@ -338,15 +338,29 @@ constexpr std::size_t kMinSlabRows = 4096;
 /// a slab is by definition inside that slab's top-ℓ, so the ℓ smallest of
 /// the concatenated slab winners equal the unsplit scan's answer (fuzzed
 /// against the unsplit grid in tests/test_parity.cpp).
-/// A null or empty `scanned_store(m)` marks a machine opaque (tree-indexed
-/// and approx shards, serve snapshots, skipped machines): it is scored
-/// whole by `score(m, query_subspan, keys, scratch)` in query blocks of
-/// about Q ÷ (4 × threads).  The serial path scores every machine whole.
-template <typename ScoreTile, typename ScannedStore>
-std::vector<std::vector<std::vector<Key>>> score_tiled_grid(
-    std::size_t machines, std::span<const PointD> queries, std::uint64_t ell, MetricKind kind,
-    const BatchScoringConfig& config, const ScoreTile& score,
-    const ScannedStore& scanned_store) {
+/// A null or empty `scanned_store(source)` marks a machine opaque
+/// (tree-indexed and approx shards, serve snapshots, skipped machines): it
+/// is scored whole by `score_tile` in query blocks of about
+/// Q ÷ (4 × threads).  The serial path scores every machine whole.
+template <typename Source>
+std::vector<std::vector<std::vector<Key>>> score_machines(
+    std::span<const Source> sources, std::span<const PointD> queries, std::uint64_t ell,
+    MetricKind kind, const BatchScoringConfig& config, std::span<const char> skip) {
+  const std::size_t machines = sources.size();
+  DKNN_REQUIRE(skip.empty() || skip.size() == machines,
+               "scoring skip mask and machine count must align");
+  const auto skipped = [skip](std::size_t m) { return !skip.empty() && skip[m] != 0; };
+  for (std::size_t m = 0; m < machines; ++m) {
+    DKNN_REQUIRE(skipped(m) || present(sources[m]), "scoring: null snapshot of a scored machine");
+  }
+  const auto score = [&](std::size_t m, std::span<const PointD> block,
+                         std::vector<std::vector<Key>>& keys, KernelScratch& scratch) {
+    if (skipped(m)) {
+      keys.assign(block.size(), {});
+      return;
+    }
+    score_tile(sources[m], block, ell, kind, keys, scratch);
+  };
   std::vector<std::vector<std::vector<Key>>> out(queries.size());
   for (auto& per_shard : out) per_shard.resize(machines);
   if (queries.empty() || machines == 0) return out;
@@ -391,7 +405,7 @@ std::vector<std::vector<std::vector<Key>>> score_tiled_grid(
   std::vector<const FlatStore*> stores(machines);
   std::size_t total_rows = 0;
   for (std::size_t m = 0; m < machines; ++m) {
-    const FlatStore* store = scanned_store(m);
+    const FlatStore* store = skipped(m) ? nullptr : scanned_store(sources[m]);
     if (store != nullptr && !store->empty()) {
       stores[m] = store;
       total_rows += store->size();
@@ -474,135 +488,18 @@ std::vector<std::vector<std::vector<Key>>> score_tiled_grid(
   return out;
 }
 
-/// The store a shard brute-scans, or null when the slab splitter must
-/// treat it as opaque: a kd-tree shard's traversal is hierarchical, not a
-/// row scan, and an approx shard's beam search walks the whole graph from
-/// fixed seeds.
-const FlatStore* scanned_store(const ShardIndex& index, bool approx) {
-  if (index.has_tree() || (approx && index.ann != nullptr)) return nullptr;
-  return &index.store();
-}
-
-/// The one per-machine scorer of the ShardIndex overloads.  `skip` (empty
-/// = score every machine) marks machines whose slots stay empty; skipped
-/// machines stay opaque to the splitter, so score() writes those slots.
-std::vector<std::vector<std::vector<Key>>> score_indexes(
-    const std::vector<ShardIndex>& indexes, std::span<const PointD> queries, std::uint64_t ell,
-    MetricKind kind, const BatchScoringConfig& config, std::span<const char> skip) {
-  const auto skipped = [skip](std::size_t m) { return !skip.empty() && skip[m] != 0; };
-  return score_tiled_grid(
-      indexes.size(), queries, ell, kind, config,
-      [&](std::size_t m, std::span<const PointD> block, std::vector<std::vector<Key>>& keys,
-          KernelScratch& scratch) {
-        if (skipped(m)) {
-          keys.assign(block.size(), {});
-          return;
-        }
-        score_tile(indexes[m], block, ell, kind, config.approx, keys, scratch);
-      },
-      [&](std::size_t m) {
-        return skipped(m) ? nullptr : scanned_store(indexes[m], config.approx);
-      });
-}
-
-/// The one per-machine scorer of the snapshot overloads (same `skip`
-/// convention).  Snapshots are opaque to the splitter: segmentation
-/// already bounds scan length per segment, and compaction governs segment
-/// size.
-std::vector<std::vector<std::vector<Key>>> score_snapshots(
-    std::span<const SnapshotPtr> snapshots, std::span<const PointD> queries, std::uint64_t ell,
-    MetricKind kind, const BatchScoringConfig& config, std::span<const char> skip) {
-  return score_tiled_grid(
-      snapshots.size(), queries, ell, kind, config,
-      [&](std::size_t m, std::span<const PointD> block, std::vector<std::vector<Key>>& keys,
-          KernelScratch& scratch) {
-        if (!skip.empty() && skip[m] != 0) {
-          keys.assign(block.size(), {});
-          return;
-        }
-        const auto top_ell = config.approx ? snapshot_approx_top_ell_batch
-                                           : snapshot_top_ell_batch;
-        top_ell(*snapshots[m], block, static_cast<std::size_t>(ell), kind, keys, scratch);
-      },
-      [](std::size_t) -> const FlatStore* { return nullptr; });
-}
-
-/// Shared health gate of the guarded overloads: one deadline-guarded
-/// check_call per machine, skip mask + coverage out.  Retired machines are
-/// skipped silently (their data lives on survivors); Dead / timed-out
-/// machines are skipped *and reported missing*.
-std::vector<char> guard_machines(MachineHealth& health, std::size_t machines,
-                                 Coverage& coverage) {
-  DKNN_REQUIRE(health.machines() == machines,
-               "guarded scoring: health registry and machine count must align");
-  std::vector<char> skip(machines, 0);
-  for (std::size_t m = 0; m < machines; ++m) {
-    const CallReport report = health.check_call(m);
-    switch (report.status) {
-      case CallStatus::Ok:
-        ++coverage.total;
-        break;
-      case CallStatus::Dead:
-      case CallStatus::TimedOut:
-        skip[m] = 1;
-        ++coverage.total;
-        coverage.missing.push_back(static_cast<std::uint32_t>(m));
-        break;
-      case CallStatus::Retired:
-        skip[m] = 1;
-        break;
-    }
-  }
-  return skip;
-}
-
 }  // namespace
 
 std::vector<std::vector<std::vector<Key>>> score_vector_shards_batch(
     const std::vector<ShardIndex>& indexes, std::span<const PointD> queries, std::uint64_t ell,
-    MetricKind kind, const BatchScoringConfig& config) {
-  return score_indexes(indexes, queries, ell, kind, config, {});
+    MetricKind kind, const BatchScoringConfig& config, std::span<const char> skip) {
+  return score_machines(std::span<const ShardIndex>(indexes), queries, ell, kind, config, skip);
 }
 
 std::vector<std::vector<std::vector<Key>>> score_serve_snapshots_batch(
     std::span<const SnapshotPtr> snapshots, std::span<const PointD> queries, std::uint64_t ell,
-    MetricKind kind, const BatchScoringConfig& config) {
-  for (const SnapshotPtr& snapshot : snapshots) {
-    DKNN_REQUIRE(snapshot != nullptr, "score_serve_snapshots_batch: null snapshot");
-  }
-  return score_snapshots(snapshots, queries, ell, kind, config, {});
-}
-
-GuardedScoreBatch score_vector_shards_batch_guarded(
-    const std::vector<ShardIndex>& indexes, std::span<const PointD> queries, std::uint64_t ell,
-    MetricKind kind, MachineHealth& health, const BatchScoringConfig& config) {
-  GuardedScoreBatch out;
-  const std::vector<char> skip = guard_machines(health, indexes.size(), out.coverage);
-  out.scored = score_indexes(indexes, queries, ell, kind, config, skip);
-  return out;
-}
-
-GuardedScoreBatch score_serve_snapshots_batch_guarded(
-    std::span<const SnapshotPtr> snapshots, std::span<const PointD> queries, std::uint64_t ell,
-    MetricKind kind, MachineHealth& health, const BatchScoringConfig& config) {
-  GuardedScoreBatch out;
-  std::vector<char> skip = guard_machines(health, snapshots.size(), out.coverage);
-  // A null slot marks a machine that was unreachable in the *caller's*
-  // view (e.g. dead when a service snapshot was published) even if its
-  // probe just answered Ok (revived since).  The caller has no data to
-  // score, so the machine is skipped and reported missing — no second
-  // probe, and silently when Retired (its data lives on survivors).
-  bool missing_merged = false;
-  for (std::size_t m = 0; m < snapshots.size(); ++m) {
-    if (snapshots[m] == nullptr && !skip[m]) {
-      skip[m] = 1;
-      out.coverage.missing.push_back(static_cast<std::uint32_t>(m));
-      missing_merged = true;
-    }
-  }
-  if (missing_merged) std::sort(out.coverage.missing.begin(), out.coverage.missing.end());
-  out.scored = score_snapshots(snapshots, queries, ell, kind, config, skip);
-  return out;
+    MetricKind kind, const BatchScoringConfig& config, std::span<const char> skip) {
+  return score_machines(snapshots, queries, ell, kind, config, skip);
 }
 
 BatchRunResult run_knn_batch(const std::vector<std::vector<std::vector<Key>>>& scored_batch,

@@ -20,7 +20,10 @@
 /// kd-tree when the ScoringPolicy picks the hybrid), score the whole query
 /// block with the fused kernels (per query and shard only the local top-ℓ
 /// keys are ever materialized), and run every query through one engine so
-/// setup cost amortizes:
+/// setup cost amortizes.  The scoring step has exactly two batch entries,
+/// one per kind of resident machine — `score_vector_shards_batch` over
+/// frozen ShardIndexes and `score_serve_snapshots_batch` over live
+/// SegmentStore snapshots — and both run one per-machine scorer:
 ///
 ///   auto shards  = make_vector_shards(points, k, PartitionScheme::RoundRobin, rng);
 ///   auto indexes = make_shard_indexes(shards, ScoringPolicy::Auto);   // once
@@ -32,7 +35,9 @@
 /// Scoring parallelism (BatchScoringConfig::threads) and protocol-side
 /// parallelism (EngineConfig::parallel for run_knn / run_knn_batch) both
 /// ride the work-stealing pool in sim/thread_pool.hpp; neither changes a
-/// single output byte (tests/test_parity.cpp fuzzes this).
+/// single output byte (tests/test_parity.cpp fuzzes this).  Fault
+/// tolerance is a skip mask on the same two entries: probe_machines
+/// (fault/health.hpp) says which machines to leave out.
 ///
 /// Everything below is deterministic given (dataset, seeds, config).
 
@@ -51,7 +56,6 @@
 #include "data/metric.hpp"
 #include "data/partition.hpp"
 #include "data/point.hpp"
-#include "fault/health.hpp"
 #include "seq/kdtree.hpp"
 #include "seq/scoring_policy.hpp"  // IWYU pragma: export — ScoringPolicy lived here
 #include "serve/segment_store.hpp"
@@ -153,23 +157,11 @@ template <MetricFor M>
   return score_vector_shards(shards, query, SquaredEuclidean{});
 }
 
-/// Converts each AoS shard to its contiguous SoA mirror (one-off O(n·d)
-/// per shard; after that, batched scoring never touches PointD).
-[[nodiscard]] std::vector<FlatStore> make_flat_stores(const std::vector<VectorShard>& shards);
-
-/// Batched local computation: scores every query against every SoA shard
-/// with the fused kernels.  Returns [query][shard] → that shard's local
-/// top-ℓ keys ascending.  Feeding a machine its local top-ℓ instead of all
-/// n keys leaves every algorithm's answer unchanged (Algorithm 2's first
-/// step is exactly this local cap) — property-tested for all metrics.
-[[nodiscard]] std::vector<std::vector<std::vector<Key>>> score_vector_shards_batch(
-    const std::vector<FlatStore>& stores, std::span<const PointD> queries, std::uint64_t ell,
-    MetricKind kind = MetricKind::SquaredEuclidean);
-
 /// One shard's resident scoring structures: always an SoA store, plus the
 /// kd-tree when the policy selected the hybrid path for this shard, plus a
 /// lazily-built k-NN graph slot when the policy is Approx and the shard is
-/// large enough (see src/ann/README.md).
+/// large enough (see src/ann/README.md).  A shard that carries a graph is
+/// always beam-searched — ScoringPolicy::Approx is the one approx switch.
 struct ShardIndex {
   FlatStore flat;                      ///< engaged iff tree == nullptr
   std::unique_ptr<KdRangeIndex> tree;  ///< engaged iff the tree path won
@@ -181,8 +173,8 @@ struct ShardIndex {
 };
 
 /// Builds each shard's scoring structures once per resident dataset
-/// (replaces make_flat_stores when a policy other than Brute may run).
-/// `ann` supplies the graph knobs for ScoringPolicy::Approx (ignored
+/// (one SoA copy per shard; after that, batched scoring never touches
+/// PointD).  ScoringPolicy::Brute gives plain SoA shards.  `ann` supplies the graph knobs for ScoringPolicy::Approx (ignored
 /// otherwise).
 [[nodiscard]] std::vector<ShardIndex> make_shard_indexes(
     const std::vector<VectorShard>& shards, ScoringPolicy policy,
@@ -228,26 +220,32 @@ struct BatchScoringConfig {
   /// only the serial path and opaque shards (kd-tree, approx) stay whole
   /// (column streaming / hierarchical traversal).
   std::size_t shard_split_rows = 0;
-  /// Approximate routing (the ANN tier).  UNLIKE every other knob in this
-  /// struct, this one changes answer bytes: shards / serve segments that
-  /// carry a k-NN graph (ScoringPolicy::Approx builds) are beam-searched
-  /// and exact-reranked instead of exactly scanned — recall@ℓ semantics,
-  /// see src/ann/README.md.  Graph-less shards (including every delta
-  /// mirror and anything below AnnConfig::min_points) still score exactly,
-  /// so with no Approx structures built this flag is a no-op.  Approx
-  /// shards are never range-split (the graph walk is one unit of work).
-  bool approx = false;
 };
 
-/// Policy-aware, optionally parallel batched scoring.  Tiles the grid over
-/// a work-stealing pool — row slab × whole batch for brute-scanned
-/// shards, shard × query block for the rest; every task writes
-/// its own pre-sized [query][shard] slots, so the output is byte-identical
-/// to the serial brute path regardless of policy, thread count, or
-/// schedule (fuzzed across paths in tests/test_parity.cpp).
+/// Batched local computation — Algorithm 2's first step on every machine:
+/// scores every query against every shard and keeps the shard's local
+/// top-ℓ.  Returns [query][shard] → those keys ascending.  Feeding a
+/// machine its local top-ℓ instead of all n keys leaves every algorithm's
+/// answer unchanged — property-tested for all metrics.
+///
+/// Policy-aware and optionally parallel: tiles the grid over a
+/// work-stealing pool — row slab × whole batch for brute-scanned shards,
+/// shard × query block for the rest; every task writes its own pre-sized
+/// [query][shard] slots, so the output is byte-identical to the serial
+/// brute path regardless of exact policy, thread count, or schedule
+/// (fuzzed across paths in tests/test_parity.cpp).  Graph-carrying shards
+/// (ScoringPolicy::Approx) are beam-searched and exact-reranked instead —
+/// recall@ℓ semantics, see src/ann/README.md — and never range-split.
+///
+/// `skip` (empty = score every machine; else one entry per machine) leaves
+/// machine m's slots empty for every query when skip[m] != 0 — an empty
+/// slot is a legal empty shard for every selection protocol.  A fault-
+/// tolerant caller passes probe_machines(health).skip (fault/health.hpp);
+/// the other machines' slots are byte-identical to an unmasked call.
 [[nodiscard]] std::vector<std::vector<std::vector<Key>>> score_vector_shards_batch(
     const std::vector<ShardIndex>& indexes, std::span<const PointD> queries, std::uint64_t ell,
-    MetricKind kind = MetricKind::SquaredEuclidean, const BatchScoringConfig& config = {});
+    MetricKind kind = MetricKind::SquaredEuclidean, const BatchScoringConfig& config = {},
+    std::span<const char> skip = {});
 
 /// Serve-aware batched local scoring: machine m's resident dataset is the
 /// live set behind `snapshots[m]` (a SegmentStore frozen view — see
@@ -256,44 +254,13 @@ struct BatchScoringConfig {
 /// result feeds run_knn_batch / run_knn unchanged; per machine the keys
 /// are byte-identical to scoring a FlatStore rebuilt from that machine's
 /// live set (fuzzed in tests/test_serve.cpp).  All snapshots with live
-/// points must share the query dimension.
+/// points must share the query dimension; graph-carrying segments are
+/// beam-searched as above.  `skip` as in the ShardIndex entry; a skipped
+/// machine's snapshot may be null, every other one must not be.
 [[nodiscard]] std::vector<std::vector<std::vector<Key>>> score_serve_snapshots_batch(
     std::span<const SnapshotPtr> snapshots, std::span<const PointD> queries,
     std::uint64_t ell, MetricKind kind = MetricKind::SquaredEuclidean,
-    const BatchScoringConfig& config = {});
-
-/// A guarded scoring step's output: the scored grid plus which machines
-/// actually answered.
-struct GuardedScoreBatch {
-  /// [query][machine] → local top-ℓ keys; a skipped (dead / timed-out)
-  /// machine's slot is empty for every query, which every selection
-  /// protocol already treats as a legal empty shard.
-  std::vector<std::vector<std::vector<Key>>> scored;
-  Coverage coverage;
-};
-
-/// Deadline-guarded variant of the ShardIndex overload: before scoring
-/// machine m, `health.check_call(m)` runs the bounded retry-with-backoff
-/// probe; a machine that is Dead or exhausts its deadline is skipped (its
-/// slots stay empty) and lands in `coverage.missing`, so the step degrades
-/// instead of hanging.  With every machine healthy the scored grid is
-/// byte-identical to the unguarded overload (asserted in
-/// tests/test_fault.cpp).
-[[nodiscard]] GuardedScoreBatch score_vector_shards_batch_guarded(
-    const std::vector<ShardIndex>& indexes, std::span<const PointD> queries, std::uint64_t ell,
-    MetricKind kind, MachineHealth& health, const BatchScoringConfig& config = {});
-
-/// Deadline-guarded variant of the snapshot overload.  A null
-/// `snapshots[m]` marks machine m unreachable in the *caller's* view (it
-/// could not snapshot the store — e.g. the machine was dead when the
-/// caller's service snapshot was published): the machine is skipped and
-/// reported missing without a probe even if the health gate would now
-/// answer Ok for it (revived since), and silently when Retired (its data
-/// lives on survivors).  Non-null slots go through the usual
-/// `check_call(m)` gate.
-[[nodiscard]] GuardedScoreBatch score_serve_snapshots_batch_guarded(
-    std::span<const SnapshotPtr> snapshots, std::span<const PointD> queries, std::uint64_t ell,
-    MetricKind kind, MachineHealth& health, const BatchScoringConfig& config = {});
+    const BatchScoringConfig& config = {}, std::span<const char> skip = {});
 
 /// Which distributed ℓ-NN / selection algorithm to run.
 enum class KnnAlgo : std::uint8_t {

@@ -56,7 +56,6 @@ struct KnnService::SeatSlot {
   KnnAlgo algo{};
   std::uint64_t ell = 0;
   MetricKind metric{};
-  bool approx = false;
   QueryResult result;
   std::exception_ptr error;
   bool done = false;
@@ -179,12 +178,12 @@ void erase_payload(std::vector<std::shared_ptr<const std::unordered_map<PointId,
 }
 
 /// Facade metrics (obs/metrics.hpp), process-wide across services.  The
-/// query/hit/miss counters move together at the end of run_batch_core, so
+/// query/hit/miss counters move together in count_answers, so
 /// hits + misses == queries holds by construction at every quiescent read
 /// (the invariant bench/check_metrics_schema.py asserts).
 struct ServiceMetrics {
   obs::Counter& queries = obs::registry().counter(
-      "dknn_service_queries_total", "query/query_batch answers produced by any KnnService");
+      "dknn_service_queries_total", "answers produced by any KnnService entry point");
   obs::Counter& batches = obs::registry().counter(
       "dknn_service_batches_total", "scoring+protocol runs executed by the facade");
   obs::Counter& cache_hits = obs::registry().counter(
@@ -204,6 +203,24 @@ struct ServiceMetrics {
 ServiceMetrics& service_metrics() {
   static ServiceMetrics m;
   return m;
+}
+
+/// The facade ledger, moved once per answered batch of any entry point:
+/// ServiceStats' counters and the registry's move together, so their deltas
+/// agree.  `misses` counts the answers that were scored (cache misses and
+/// cache-bypass answers alike); `scored` says whether a scoring+protocol
+/// run happened.  Templated so the helper needn't name the private State.
+template <typename ServiceState>
+void count_answers(ServiceState& state, std::size_t answers, std::size_t misses, bool scored) {
+  ServiceMetrics& metrics = service_metrics();
+  if (scored) {
+    state.batches.fetch_add(1, std::memory_order_relaxed);
+    metrics.batches.add();
+  }
+  state.queries.fetch_add(answers, std::memory_order_relaxed);
+  metrics.queries.add(answers);
+  metrics.cache_misses.add(misses);
+  metrics.cache_hits.add(answers - misses);
 }
 
 }  // namespace
@@ -302,18 +319,58 @@ void validate_query_dims(std::size_t dim, std::span<const PointD> queries) {
 
 /// The mode-appropriate routing policy: live stores score by
 /// serve.policy (build() syncs it to policy unless live(ServeConfig)
-/// overrode it), static indexes by policy.  Approx defaults on exactly
-/// when the built structures carry graphs.
+/// overrode it), static indexes by policy.  Only Approx builds graphs, so
+/// this is the one approx switch.
 [[nodiscard]] ScoringPolicy effective_policy(const ServiceConfig& config) {
   return config.live ? config.serve.policy : config.policy;
 }
 
 }  // namespace
 
+std::vector<std::vector<std::vector<Key>>> KnnService::score_step(
+    State& state, const Snapshot& snap, std::span<const PointD> queries, std::uint64_t ell,
+    MetricKind metric, const obs::TraceSink& sink, Coverage& coverage) {
+  obs::SinkScope span(sink, "shard_scoring");
+  span.set_detail(snap.machine_count);
+  // Approx routing needs no flag: graph-carrying shards / segments exist
+  // only under ScoringPolicy::Approx and are always beam-searched.  Traced
+  // approximate batches get an extra ann_search span so the tier shows up
+  // in the timeline.
+  const bool approx = effective_policy(state.config) == ScoringPolicy::Approx;
+  const obs::TraceSink no_sink;
+  obs::SinkScope ann_span(approx ? sink : no_sink, "ann_search");
+  if (approx) ann_span.set_detail(queries.size());
+
+  coverage = snap.coverage;
+  std::vector<char> skip;
+  if (state.health != nullptr) {
+    // Dead / unresponsive machines are skipped (their slots stay empty, a
+    // legal empty shard for every protocol) and reported in the coverage.
+    MachineProbe probe = probe_machines(*state.health);
+    // A null store slot marks a machine that was unreachable when `snap`
+    // was published, even if its probe just answered Ok (revived since):
+    // there is no data to score, so it is skipped and reported missing —
+    // silently when Retired (its data lives on survivors).
+    for (std::size_t m = 0; m < snap.stores.size(); ++m) {
+      if (snap.stores[m] == nullptr && probe.skip[m] == 0) {
+        probe.skip[m] = 1;
+        probe.coverage.missing.push_back(static_cast<std::uint32_t>(m));
+      }
+    }
+    std::sort(probe.coverage.missing.begin(), probe.coverage.missing.end());
+    skip = std::move(probe.skip);
+    coverage = std::move(probe.coverage);
+  }
+  return state.config.live ? score_serve_snapshots_batch(snap.stores, queries, ell, metric,
+                                                         state.scoring, skip)
+                           : score_vector_shards_batch(*snap.indexes, queries, ell, metric,
+                                                       state.scoring, skip);
+}
+
 BatchQueryResult KnnService::run_batch_core(State& state,
                                             const std::shared_ptr<const Snapshot>& snap,
                                             std::span<const PointD> queries, KnnAlgo algo,
-                                            std::uint64_t ell, MetricKind metric, bool approx,
+                                            std::uint64_t ell, MetricKind metric,
                                             const obs::TraceSink& sink) {
   BatchQueryResult out;
   out.epoch = snap->epoch;
@@ -330,8 +387,7 @@ BatchQueryResult KnnService::run_batch_core(State& state,
   // republished) bypasses the cache entirely — scored answers still come
   // out right (the guard skips the dead machine), they just aren't cached,
   // and note_bypass keeps the miss counter reconciled.
-  const std::uint64_t live_generation =
-      fault_tolerant ? state.health->generation() : 0;
+  const std::uint64_t live_generation = fault_tolerant ? state.health->generation() : 0;
   const bool generation_stable = live_generation == snap->generation;
   const bool caching = state.cache.capacity() > 0 && generation_stable;
   const std::uint64_t cache_epoch = snap->epoch + live_generation;
@@ -355,12 +411,10 @@ BatchQueryResult KnnService::run_batch_core(State& state,
     } else {
       for (std::size_t q = 0; q < queries.size(); ++q) {
         auto bits = query_coord_bits(queries[q]);
-        // Per-call ℓ/metric/approx ride in the key as extra words, so an
-        // overridden (or approximate) answer can never collide with a
-        // canonical one.
+        // Per-call ℓ/metric ride in the key as extra words, so an
+        // overridden answer can never collide with a canonical one.
         bits.push_back(ell);
         bits.push_back(static_cast<std::uint64_t>(metric));
-        bits.push_back(approx ? 1 : 0);
         if (auto cached = state.cache.lookup(bits, cache_epoch); cached.has_value()) {
           QueryResult& dst = out.per_query[q];
           dst.keys = std::move(*cached);
@@ -378,45 +432,8 @@ BatchQueryResult KnnService::run_batch_core(State& state,
   }
 
   if (!miss_queries.empty()) {
-    // Local computation: the fused batch kernels over every machine's
-    // snapshotted structures — exactly the free-function paths.  Fault-
-    // tolerant mode routes through the deadline-guarded variants: dead /
-    // unresponsive machines are skipped (their slots stay empty, a legal
-    // empty shard for every protocol) and reported in the coverage; a
-    // machine whose snapshot slot is null (dead at publish) is reported
-    // missing without a probe.
-    std::vector<std::vector<std::vector<Key>>> scored;
-    Coverage miss_coverage = hit_coverage;
-    {
-      obs::SinkScope span(sink, "shard_scoring");
-      span.set_detail(snap->machine_count);
-      // Approx routing rides the scoring config: graph-carrying shards
-      // switch to the ann beam search, everything else (delta mirrors,
-      // small shards, exact-policy services) scores exactly.  Traced
-      // approximate batches get an extra ann_search span so the tier
-      // shows up in the timeline.
-      BatchScoringConfig scoring = state.scoring;
-      scoring.approx = approx;
-      const obs::TraceSink no_sink;
-      obs::SinkScope ann_span(approx ? sink : no_sink, "ann_search");
-      if (approx) ann_span.set_detail(miss_queries.size());
-      if (fault_tolerant) {
-        GuardedScoreBatch guarded =
-            state.config.live
-                ? score_serve_snapshots_batch_guarded(snap->stores, miss_queries, ell, metric,
-                                                      *state.health, scoring)
-                : score_vector_shards_batch_guarded(*snap->indexes, miss_queries, ell, metric,
-                                                    *state.health, scoring);
-        scored = std::move(guarded.scored);
-        miss_coverage = std::move(guarded.coverage);
-      } else {
-        scored = state.config.live
-                     ? score_serve_snapshots_batch(snap->stores, miss_queries, ell, metric,
-                                                   scoring)
-                     : score_vector_shards_batch(*snap->indexes, miss_queries, ell, metric,
-                                                 scoring);
-      }
-    }
+    Coverage miss_coverage;
+    const auto scored = score_step(state, *snap, miss_queries, ell, metric, sink, miss_coverage);
     // Global selection: every miss through one engine run.
     BatchRunResult batch = [&] {
       obs::SinkScope span(sink, "selection");
@@ -455,18 +472,10 @@ BatchQueryResult KnnService::run_batch_core(State& state,
       if (publish) state.cache.insert(std::move(miss_bits[i]), cache_epoch, dst.keys);
     }
     out.report = std::move(batch.report);
-    state.batches.fetch_add(1, std::memory_order_relaxed);
-    service_metrics().batches.add();
   }
 
   for (QueryResult& result : out.per_query) result.batch_size = batch_size;
-  state.queries.fetch_add(queries.size(), std::memory_order_relaxed);
-  // hits + misses == queries by construction: the three counters move
-  // together here, once per scored/cached batch.
-  ServiceMetrics& metrics = service_metrics();
-  metrics.queries.add(queries.size());
-  metrics.cache_misses.add(miss_index.size());
-  metrics.cache_hits.add(queries.size() - miss_index.size());
+  count_answers(state, queries.size(), miss_index.size(), !miss_queries.empty());
   return out;
 }
 
@@ -477,21 +486,21 @@ BatchQueryResult KnnService::query_batch(std::span<const PointD> queries,
   require_positive_ell(ell);
   const KnnAlgo algo = options.algo.value_or(state.config.algo);
   const MetricKind metric = options.metric.value_or(state.config.metric);
-  const bool approx =
-      options.approx.value_or(effective_policy(state.config) == ScoringPolicy::Approx);
   validate_query_dims(state.dim, queries);
+  const auto snap = load_published(state.snapshot_mutex, state.snapshot);
+  if (queries.empty()) {
+    // Before the trace gate: an empty batch answers nothing, so it must
+    // neither consume a sampling slot nor swallow a forced trace.
+    BatchQueryResult out;
+    out.epoch = snap->epoch;
+    return out;
+  }
   // The whole batch traces as one unit when forced or sampled (it is one
   // snapshot + one scored run; per-member spans would all be identical).
   auto trace = state.tracer.begin(options.trace);
   obs::TraceSink sink;
   sink.attach(trace.get());
-  const auto snap = load_published(state.snapshot_mutex, state.snapshot);
-  if (queries.empty()) {
-    BatchQueryResult out;
-    out.epoch = snap->epoch;
-    return out;
-  }
-  BatchQueryResult out = run_batch_core(state, snap, queries, algo, ell, metric, approx, sink);
+  BatchQueryResult out = run_batch_core(state, snap, queries, algo, ell, metric, sink);
   if (trace != nullptr) state.tracer.finish(std::move(trace));
   return out;
 }
@@ -532,7 +541,7 @@ void KnnService::execute_seat(State& state, std::span<SeatSlot*> batch) {
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   const auto key_of = [&](std::size_t i) {
     return std::make_tuple(static_cast<int>(batch[i]->algo), batch[i]->ell,
-                           static_cast<int>(batch[i]->metric), batch[i]->approx);
+                           static_cast<int>(batch[i]->metric));
   };
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) { return key_of(a) < key_of(b); });
@@ -549,8 +558,8 @@ void KnnService::execute_seat(State& state, std::span<SeatSlot*> batch) {
     obs::TraceSink group_sink;
     for (std::size_t i = start; i < stop; ++i) group_sink.attach(batch[order[i]]->trace);
     try {
-      BatchQueryResult result = run_batch_core(state, snap, queries, lead.algo, lead.ell,
-                                               lead.metric, lead.approx, group_sink);
+      BatchQueryResult result =
+          run_batch_core(state, snap, queries, lead.algo, lead.ell, lead.metric, group_sink);
       for (std::size_t i = start; i < stop; ++i) {
         batch[order[i]]->result = std::move(result.per_query[i - start]);
       }
@@ -585,8 +594,6 @@ QueryResult KnnService::query(const PointD& point, const QueryOptions& options) 
   slot.algo = options.algo.value_or(state.config.algo);
   slot.ell = ell;
   slot.metric = options.metric.value_or(state.config.metric);
-  slot.approx =
-      options.approx.value_or(effective_policy(state.config) == ScoringPolicy::Approx);
   // Observability: one branch each when disabled/unsampled.  The trace
   // builder rides the slot so the seat leader can fan batch-stage spans
   // into it; neither changes any answer byte.
@@ -646,45 +653,45 @@ QueryResult KnnService::query(const PointD& point, const QueryOptions& options) 
   return std::move(slot.result);
 }
 
-std::vector<ClassifyResult> KnnService::classify_batch(std::span<const PointD> queries,
-                                                       VoteRule rule) {
+template <typename Result, typename Vote>
+std::vector<Result> KnnService::predict_batch(std::span<const PointD> queries, bool targets,
+                                              const Vote& vote) {
   State& state = ensure_built();
   const auto snap = load_published(state.snapshot_mutex, state.snapshot);
-  if (!snap->has_labels) {
+  if (targets ? !snap->has_targets : !snap->has_labels) {
     throw ServiceStateError(
-        "dknn: KnnService::classify requires labels (KnnServiceBuilder::labels or "
-        "insert_labeled)");
+        targets ? "dknn: KnnService::regress requires targets (KnnServiceBuilder::targets or "
+                  "insert_target)"
+                : "dknn: KnnService::classify requires labels (KnnServiceBuilder::labels or "
+                  "insert_labeled)");
   }
   if (queries.empty()) return {};  // consistent with query_batch
   validate_query_dims(state.dim, queries);
 
   // One snapshot end to end: the winners come out of the snapshotted
-  // stores and the labels are the tables published with them, so a
-  // concurrent erase can never strand a winner without its label.
-  const auto scored = [&] {
-    if (state.health != nullptr) {
-      // Degraded classify: dead machines' shards drop out of the vote.
-      return state.config.live
-                 ? score_serve_snapshots_batch_guarded(snap->stores, queries, state.config.ell,
-                                                       state.config.metric, *state.health,
-                                                       state.scoring)
-                       .scored
-                 : score_vector_shards_batch_guarded(*snap->indexes, queries, state.config.ell,
-                                                     state.config.metric, *state.health,
-                                                     state.scoring)
-                       .scored;
-    }
-    return state.config.live
-               ? score_serve_snapshots_batch(snap->stores, queries, state.config.ell,
-                                             state.config.metric, state.scoring)
-               : score_vector_shards_batch(*snap->indexes, queries, state.config.ell,
-                                           state.config.metric, state.scoring);
-  }();
-  auto results = classify_scored_batch(scored, snap->labels, state.config.ell,
-                                       state.config.engine, state.config.knn, rule);
-  state.queries.fetch_add(queries.size(), std::memory_order_relaxed);
-  state.batches.fetch_add(1, std::memory_order_relaxed);
+  // stores and the payloads are the tables published with them, so a
+  // concurrent erase can never strand a winner without its label.  A
+  // degraded (fault-tolerant) step drops dead machines' shards out of the
+  // vote, exactly as it drops them out of query_batch's answer.
+  Coverage coverage;
+  const auto scored = score_step(state, *snap, queries, state.config.ell, state.config.metric,
+                                 obs::TraceSink{}, coverage);
+  std::vector<Result> results = vote(scored, *snap);
+  // Payload answers never consult the cache: they count as cache-bypass
+  // answers, which keeps hits + misses == queries across entry points.
+  state.cache.note_bypass(queries.size());
+  count_answers(state, queries.size(), queries.size(), /*scored=*/true);
   return results;
+}
+
+std::vector<ClassifyResult> KnnService::classify_batch(std::span<const PointD> queries,
+                                                       VoteRule rule) {
+  const ServiceConfig& config = ensure_built().config;
+  return predict_batch<ClassifyResult>(
+      queries, /*targets=*/false, [&](const auto& scored, const Snapshot& snap) {
+        return classify_scored_batch(scored, snap.labels, config.ell, config.engine, config.knn,
+                                     rule);
+      });
 }
 
 ClassifyResult KnnService::classify(const PointD& point, VoteRule rule) {
@@ -692,40 +699,11 @@ ClassifyResult KnnService::classify(const PointD& point, VoteRule rule) {
 }
 
 std::vector<RegressResult> KnnService::regress_batch(std::span<const PointD> queries) {
-  State& state = ensure_built();
-  const auto snap = load_published(state.snapshot_mutex, state.snapshot);
-  if (!snap->has_targets) {
-    throw ServiceStateError(
-        "dknn: KnnService::regress requires targets (KnnServiceBuilder::targets or "
-        "insert_target)");
-  }
-  if (queries.empty()) return {};  // consistent with query_batch
-  validate_query_dims(state.dim, queries);
-
-  const auto scored = [&] {
-    if (state.health != nullptr) {
-      // Degraded regress: dead machines' shards drop out of the mean.
-      return state.config.live
-                 ? score_serve_snapshots_batch_guarded(snap->stores, queries, state.config.ell,
-                                                       state.config.metric, *state.health,
-                                                       state.scoring)
-                       .scored
-                 : score_vector_shards_batch_guarded(*snap->indexes, queries, state.config.ell,
-                                                     state.config.metric, *state.health,
-                                                     state.scoring)
-                       .scored;
-    }
-    return state.config.live
-               ? score_serve_snapshots_batch(snap->stores, queries, state.config.ell,
-                                             state.config.metric, state.scoring)
-               : score_vector_shards_batch(*snap->indexes, queries, state.config.ell,
-                                           state.config.metric, state.scoring);
-  }();
-  auto results = regress_scored_batch(scored, snap->targets, state.config.ell,
-                                      state.config.engine, state.config.knn);
-  state.queries.fetch_add(queries.size(), std::memory_order_relaxed);
-  state.batches.fetch_add(1, std::memory_order_relaxed);
-  return results;
+  const ServiceConfig& config = ensure_built().config;
+  return predict_batch<RegressResult>(
+      queries, /*targets=*/true, [&](const auto& scored, const Snapshot& snap) {
+        return regress_scored_batch(scored, snap.targets, config.ell, config.engine, config.knn);
+      });
 }
 
 RegressResult KnnService::regress(const PointD& point) {

@@ -35,9 +35,10 @@
 /// byte-identical to composing the free functions yourself —
 /// `score_vector_shards_batch` + `run_knn_batch` in static mode,
 /// `score_serve_snapshots_batch` + `run_knn_batch` in live mode.  The free
-/// functions remain public as the decomposed stages (and the batched mlapi
-/// entries are now thin wrappers over this facade); new capabilities land
-/// here once instead of once per path.
+/// functions remain public as the decomposed stages; new capabilities land
+/// here once instead of once per path.  Every read entry point —
+/// query / query_batch / classify* / regress* — scores through one private
+/// scoring step, so the live × fault-tolerant dispatch exists once.
 ///
 /// Preconditions are validated centrally (data/validate.hpp) with typed
 /// errors and stable texts instead of per-path panics:
@@ -123,9 +124,10 @@ struct ServiceConfig {
   /// Local scoring structure per machine (static mode) or per sealed
   /// segment (live mode, via `serve.policy` which build() syncs to this).
   /// ScoringPolicy::Approx attaches a lazily-built k-NN graph (src/ann/)
-  /// to every large-enough shard/segment and answers queries by beam
-  /// search + exact rerank — recall semantics, NOT byte parity with the
-  /// exact paths (see src/ann/README.md).
+  /// to every large-enough shard/segment and answers every read entry
+  /// point (query, query_batch, classify, regress) by beam search + exact
+  /// rerank — recall semantics, NOT byte parity with the exact paths (see
+  /// src/ann/README.md).  It is the only approx switch.
   ScoringPolicy policy = ScoringPolicy::Auto;
   std::size_t leaf_size = KdRangeIndex::kDefaultLeafSize;
   /// Graph knobs of the Approx policy (degree / ef / build seed...).
@@ -195,19 +197,11 @@ struct QueryOptions {
   std::optional<std::uint64_t> ell;
   /// Distance metric for this call.
   std::optional<MetricKind> metric;
-  /// Per-call routing between the exact and the approximate tier:
-  /// `approx = true` scores graph-carrying shards with the ann beam
-  /// search even under an exact policy (a no-op when no graph was built —
-  /// graphs only exist under ScoringPolicy::Approx); `approx = false`
-  /// forces the exact scan on an Approx-policy service.  Unlike algo,
-  /// this CAN change answer bytes (recall semantics); approximate answers
-  /// are cached under their own key, so they never collide with exact
-  /// ones.
-  std::optional<bool> approx;
-  /// Force a trace of this query() call into the recent-trace ring
-  /// regardless of ServiceConfig::trace_sample_every.  Never changes the
-  /// answer bytes.  Ignored by query_batch's whole-batch trace gate (the
-  /// batch traces as one unit when any caller sets it).
+  /// Force a trace of this call into the recent-trace ring regardless of
+  /// ServiceConfig::trace_sample_every.  Never changes the answer bytes.
+  /// query() traces the one query; query_batch traces the whole non-empty
+  /// batch as one unit (an empty batch answers nothing and traces
+  /// nothing).
   bool trace = false;
 
   QueryOptions() = default;
@@ -254,11 +248,13 @@ struct BatchQueryResult {
   std::uint64_t epoch = 0;  ///< service epoch all answers are exact for
 };
 
-/// Facade health counters.  For query/query_batch-only workloads,
-/// cache_hits + cache_misses == queries at *every* cache configuration —
-/// a disabled cache (capacity 0) counts every scored answer as a miss
-/// (see result_cache.hpp's stats convention).  classify/regress answers
-/// count in `queries` but never touch the cache.
+/// Facade health counters.  cache_hits + cache_misses == queries at
+/// *every* cache configuration and for every entry point — a disabled
+/// cache (capacity 0) counts every scored answer as a miss (see
+/// result_cache.hpp's stats convention), and classify/regress answers,
+/// which never consult the cache, count as misses too.  queries, batches,
+/// cache_hits and cache_misses each move with their dknn_service_*
+/// registry twin, so their deltas agree.
 struct ServiceStats {
   std::uint64_t queries = 0;        ///< answers produced (all entry points)
   std::uint64_t batches = 0;        ///< scoring+protocol runs executed
@@ -322,7 +318,10 @@ class KnnService {
 
   /// Distributed ℓ-NN classification (majority / inverse-distance vote of
   /// the global winners' labels).  Requires labels at build time (or via
-  /// insert_labeled); equals mlapi's classify_batch over the same shards.
+  /// insert_labeled).  Scores exactly like query_batch at the service's
+  /// (ℓ, metric) — result q's `run.keys` equal query_batch's keys for
+  /// query q, degraded and approximate answers included — then votes
+  /// through classify_scored_batch.
   [[nodiscard]] ClassifyResult classify(const PointD& point,
                                         VoteRule rule = VoteRule::Majority);
   [[nodiscard]] std::vector<ClassifyResult> classify_batch(std::span<const PointD> queries,
@@ -463,16 +462,32 @@ class KnnService {
   /// Rebuilds and atomically publishes the read-path snapshot; called at
   /// the end of every mutation, with the service mutex held.
   static void publish_locked(State& state);
-  /// Shared scored-batch core of every read path: cache pass + (guarded)
-  /// scoring + selection + cache publish against one snapshot, no service
-  /// mutex.  `sink` fans stage spans (cache_lookup / shard_scoring /
-  /// selection / merge) to the traced members of the batch — pass an empty
-  /// sink when nothing is traced.
+  /// The one scoring step of every read path: scores `queries` on every
+  /// machine of `snap` (live store snapshots or static indexes) at
+  /// (ℓ, metric).  A fault-tolerant service probes every machine first
+  /// (probe_machines); probed-out machines, and machines whose store
+  /// snapshot is null (dead at publish), keep empty slots.  `coverage`
+  /// receives which machines answered.  Emits the shard_scoring (and, under
+  /// ScoringPolicy::Approx, ann_search) spans into `sink`.
+  static std::vector<std::vector<std::vector<Key>>> score_step(
+      State& state, const Snapshot& snap, std::span<const PointD> queries, std::uint64_t ell,
+      MetricKind metric, const obs::TraceSink& sink, Coverage& coverage);
+  /// Shared scored-batch core of query / query_batch: cache pass +
+  /// score_step + selection + cache publish against one snapshot, no
+  /// service mutex.  `sink` fans stage spans (cache_lookup / shard_scoring
+  /// / selection / merge) to the traced members of the batch — pass an
+  /// empty sink when nothing is traced.
   static BatchQueryResult run_batch_core(State& state,
                                          const std::shared_ptr<const Snapshot>& snap,
                                          std::span<const PointD> queries, KnnAlgo algo,
-                                         std::uint64_t ell, MetricKind metric, bool approx,
+                                         std::uint64_t ell, MetricKind metric,
                                          const obs::TraceSink& sink);
+  /// Shared body of classify_batch / regress_batch: payload check, one
+  /// snapshot, score_step at the service's (ℓ, metric), `vote(scored,
+  /// snapshot)` for the answers, and the ledger (cache-bypass answers).
+  template <typename Result, typename Vote>
+  std::vector<Result> predict_batch(std::span<const PointD> queries, bool targets,
+                                    const Vote& vote);
   /// Leader body of the coalescing seat: groups `batch` by effective
   /// (algo, ℓ, metric) and runs each group through run_batch_core against
   /// one snapshot.

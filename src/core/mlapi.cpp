@@ -201,71 +201,6 @@ std::vector<std::vector<MlSlot>> run_ml_batch_scored(
 
 std::vector<ClassifyResult> classify_scored_batch(
     const std::vector<std::vector<std::vector<Key>>>& scored_batch,
-    const std::vector<std::unordered_map<PointId, std::uint32_t>>& labels, std::uint64_t ell,
-    const EngineConfig& engine_config, const KnnConfig& knn_config, VoteRule rule) {
-  DKNN_REQUIRE(!scored_batch.empty(), "need at least one query");
-  const std::size_t world = scored_batch.front().size();
-  DKNN_REQUIRE(world > 0, "need at least one machine");
-  DKNN_REQUIRE(labels.size() == world, "scored/labels must align");
-
-  // A winner without a label is a caller-input failure (an unlabeled
-  // point won the vote), so it carries a typed error like every other
-  // precondition — the engine rethrows it intact.
-  auto lookup = [&labels](MachineId machine, PointId id) -> std::uint64_t {
-    const auto& table = labels[machine];
-    const auto it = table.find(id);
-    if (it == table.end()) {
-      throw PreconditionError("dknn: winner id " + std::to_string(id) +
-                              " has no label on its machine");
-    }
-    return it->second;
-  };
-  RunReport report;
-  auto slots = run_ml_batch_scored(scored_batch, world, ell, engine_config, knn_config, lookup,
-                                   &report);
-
-  std::vector<ClassifyResult> results(scored_batch.size());
-  for (std::size_t q = 0; q < scored_batch.size(); ++q) {
-    results[q].run = make_run_result(slots[q], q == 0 ? std::move(report) : RunReport{},
-                                     knn_config.leader);
-    finish_classify(results[q], slots[q][knn_config.leader].winners, rule);
-  }
-  return results;
-}
-
-std::vector<RegressResult> regress_scored_batch(
-    const std::vector<std::vector<std::vector<Key>>>& scored_batch,
-    const std::vector<std::unordered_map<PointId, double>>& targets, std::uint64_t ell,
-    const EngineConfig& engine_config, const KnnConfig& knn_config) {
-  DKNN_REQUIRE(!scored_batch.empty(), "need at least one query");
-  const std::size_t world = scored_batch.front().size();
-  DKNN_REQUIRE(world > 0, "need at least one machine");
-  DKNN_REQUIRE(targets.size() == world, "scored/targets must align");
-
-  auto lookup = [&targets](MachineId machine, PointId id) -> std::uint64_t {
-    const auto& table = targets[machine];
-    const auto it = table.find(id);
-    if (it == table.end()) {
-      throw PreconditionError("dknn: winner id " + std::to_string(id) +
-                              " has no target on its machine");
-    }
-    return std::bit_cast<std::uint64_t>(it->second);
-  };
-  RunReport report;
-  auto slots = run_ml_batch_scored(scored_batch, world, ell, engine_config, knn_config, lookup,
-                                   &report);
-
-  std::vector<RegressResult> results(scored_batch.size());
-  for (std::size_t q = 0; q < scored_batch.size(); ++q) {
-    results[q].run = make_run_result(slots[q], q == 0 ? std::move(report) : RunReport{},
-                                     knn_config.leader);
-    finish_regress(results[q], slots[q][knn_config.leader].winners);
-  }
-  return results;
-}
-
-std::vector<ClassifyResult> classify_scored_batch(
-    const std::vector<std::vector<std::vector<Key>>>& scored_batch,
     const std::vector<std::shared_ptr<const std::unordered_map<PointId, std::uint32_t>>>& labels,
     std::uint64_t ell, const EngineConfig& engine_config, const KnnConfig& knn_config,
     VoteRule rule) {
@@ -327,94 +262,6 @@ std::vector<RegressResult> regress_scored_batch(
     finish_regress(results[q], slots[q][knn_config.leader].winners);
   }
   return results;
-}
-
-// The batched dataset-level entries are thin wrappers over the facade's
-// decomposed stages: exactly the make_shard_indexes →
-// score_vector_shards_batch → classify/regress_scored_batch pipeline
-// KnnService::classify_batch/regress_batch runs (byte equality against
-// the facade is asserted in tests/test_service.cpp), composed here
-// directly so a one-shot call borrows the caller's shards instead of
-// copying them into a throwaway service.  Resident callers should hold a
-// KnnService and amortize the index build across batches.
-
-std::vector<ClassifyResult> classify_batch(const std::vector<VectorShard>& shards,
-                                           const std::vector<std::vector<std::uint32_t>>& labels,
-                                           std::span<const PointD> queries, std::uint64_t ell,
-                                           const EngineConfig& engine_config,
-                                           const KnnConfig& knn_config, VoteRule rule,
-                                           MetricKind kind, ScoringPolicy policy,
-                                           const BatchScoringConfig& scoring) {
-  DKNN_REQUIRE(!shards.empty(), "need at least one shard");
-  DKNN_REQUIRE(!queries.empty(), "need at least one query");
-  DKNN_REQUIRE(shards.size() == labels.size(), "shards/labels must align");
-  for (std::size_t m = 0; m < shards.size(); ++m) {
-    DKNN_REQUIRE(shards[m].points.size() == labels[m].size(), "points/labels must align");
-  }
-  const std::vector<ShardIndex> indexes = make_shard_indexes(shards, policy);
-  const auto scored = score_vector_shards_batch(indexes, queries, ell, kind, scoring);
-  std::vector<std::unordered_map<PointId, std::uint32_t>> labels_by_id(shards.size());
-  for (std::size_t m = 0; m < shards.size(); ++m) {
-    labels_by_id[m].reserve(shards[m].ids.size());
-    for (std::size_t i = 0; i < shards[m].ids.size(); ++i) {
-      labels_by_id[m].emplace(shards[m].ids[i], labels[m][i]);
-    }
-  }
-  return classify_scored_batch(scored, labels_by_id, ell, engine_config, knn_config, rule);
-}
-
-std::vector<RegressResult> regress_batch(const std::vector<VectorShard>& shards,
-                                         const std::vector<std::vector<double>>& targets,
-                                         std::span<const PointD> queries, std::uint64_t ell,
-                                         const EngineConfig& engine_config,
-                                         const KnnConfig& knn_config, MetricKind kind,
-                                         ScoringPolicy policy,
-                                         const BatchScoringConfig& scoring) {
-  DKNN_REQUIRE(!shards.empty(), "need at least one shard");
-  DKNN_REQUIRE(!queries.empty(), "need at least one query");
-  DKNN_REQUIRE(shards.size() == targets.size(), "shards/targets must align");
-  for (std::size_t m = 0; m < shards.size(); ++m) {
-    DKNN_REQUIRE(shards[m].points.size() == targets[m].size(), "points/targets must align");
-  }
-  const std::vector<ShardIndex> indexes = make_shard_indexes(shards, policy);
-  const auto scored = score_vector_shards_batch(indexes, queries, ell, kind, scoring);
-  std::vector<std::unordered_map<PointId, double>> targets_by_id(shards.size());
-  for (std::size_t m = 0; m < shards.size(); ++m) {
-    targets_by_id[m].reserve(shards[m].ids.size());
-    for (std::size_t i = 0; i < shards[m].ids.size(); ++i) {
-      targets_by_id[m].emplace(shards[m].ids[i], targets[m][i]);
-    }
-  }
-  return regress_scored_batch(scored, targets_by_id, ell, engine_config, knn_config);
-}
-
-// The snapshot-level serve entries stay as the escape hatch for callers
-// who manage their own SegmentStores (a live KnnService owns its stores):
-// thin compositions of the public scoring + scored-batch stages.
-
-std::vector<ClassifyResult> classify_serve_batch(
-    std::span<const SnapshotPtr> snapshots,
-    const std::vector<std::unordered_map<PointId, std::uint32_t>>& labels,
-    std::span<const PointD> queries, std::uint64_t ell, const EngineConfig& engine_config,
-    const KnnConfig& knn_config, VoteRule rule, MetricKind kind,
-    const BatchScoringConfig& scoring) {
-  DKNN_REQUIRE(!snapshots.empty(), "need at least one machine");
-  DKNN_REQUIRE(snapshots.size() == labels.size(), "snapshots/payloads must align");
-  DKNN_REQUIRE(!queries.empty(), "need at least one query");
-  const auto scored = score_serve_snapshots_batch(snapshots, queries, ell, kind, scoring);
-  return classify_scored_batch(scored, labels, ell, engine_config, knn_config, rule);
-}
-
-std::vector<RegressResult> regress_serve_batch(
-    std::span<const SnapshotPtr> snapshots,
-    const std::vector<std::unordered_map<PointId, double>>& targets,
-    std::span<const PointD> queries, std::uint64_t ell, const EngineConfig& engine_config,
-    const KnnConfig& knn_config, MetricKind kind, const BatchScoringConfig& scoring) {
-  DKNN_REQUIRE(!snapshots.empty(), "need at least one machine");
-  DKNN_REQUIRE(snapshots.size() == targets.size(), "snapshots/payloads must align");
-  DKNN_REQUIRE(!queries.empty(), "need at least one query");
-  const auto scored = score_serve_snapshots_batch(snapshots, queries, ell, kind, scoring);
-  return regress_scored_batch(scored, targets, ell, engine_config, knn_config);
 }
 
 }  // namespace dknn

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -74,97 +73,31 @@ struct RegressResult {
                                                 const KnnConfig& knn_config = {});
 
 /// Pre-scored batched classification — the layer every batched classify
-/// entry bottoms out in.  `scored_batch[q][m]` is machine m's keys for
-/// query q (from any scoring path: resident ShardIndexes, serve snapshots,
-/// or the KnnService facade) and `labels[m]` maps point id → label on
-/// machine m (entries for dead or never-selected ids are fine; only
-/// winners need one).  One engine run drives every query; the whole-batch
-/// report rides on result 0's `run.report` as in classify_batch.
-[[nodiscard]] std::vector<ClassifyResult> classify_scored_batch(
-    const std::vector<std::vector<std::vector<Key>>>& scored_batch,
-    const std::vector<std::unordered_map<PointId, std::uint32_t>>& labels, std::uint64_t ell,
-    const EngineConfig& engine_config, const KnnConfig& knn_config = {},
-    VoteRule rule = VoteRule::Majority);
-
-/// Pre-scored batched regression; `targets[m]` maps point id → target.
-[[nodiscard]] std::vector<RegressResult> regress_scored_batch(
-    const std::vector<std::vector<std::vector<Key>>>& scored_batch,
-    const std::vector<std::unordered_map<PointId, double>>& targets, std::uint64_t ell,
-    const EngineConfig& engine_config, const KnnConfig& knn_config = {});
-
-/// Shared-ownership payload-table overloads, for snapshot-reading callers
-/// (the lock-free KnnService read path keeps copy-on-write per-machine
-/// maps alive via shared_ptr and must classify against the *snapshot's*
-/// tables, not the live ones a concurrent insert may be replacing).
-/// Byte-identical to the by-value-table overloads over equal tables; every
-/// `labels[m]` / `targets[m]` must be non-null.
+/// bottoms out in (KnnService::classify_batch runs exactly
+/// score_vector_shards_batch / score_serve_snapshots_batch → this).
+/// `scored_batch[q][m]` is machine m's keys for query q and `labels[m]`
+/// maps point id → label on machine m (entries for dead or never-selected
+/// ids are fine; only winners need one).  Result q equals
+/// classify_distributed over the same scored shards; one engine run drives
+/// every query, and the whole-batch engine report rides on result 0's
+/// `run.report` (later results carry empty reports — the engine ran once,
+/// not B times).  The tables are shared-ownership because the lock-free
+/// facade read path classifies against its *snapshot's* copy-on-write
+/// maps, not the live ones a concurrent insert may be replacing; every
+/// `labels[m]` must be non-null.
+/// Note: with the SquaredEuclidean default, VoteRule::InverseDistance
+/// weights by 1/(‖·‖₂² + ε) — still monotone in distance.
 [[nodiscard]] std::vector<ClassifyResult> classify_scored_batch(
     const std::vector<std::vector<std::vector<Key>>>& scored_batch,
     const std::vector<std::shared_ptr<const std::unordered_map<PointId, std::uint32_t>>>& labels,
     std::uint64_t ell, const EngineConfig& engine_config, const KnnConfig& knn_config = {},
     VoteRule rule = VoteRule::Majority);
+
+/// Pre-scored batched regression; `targets[m]` maps point id → target.
 [[nodiscard]] std::vector<RegressResult> regress_scored_batch(
     const std::vector<std::vector<std::vector<Key>>>& scored_batch,
     const std::vector<std::shared_ptr<const std::unordered_map<PointId, double>>>& targets,
     std::uint64_t ell, const EngineConfig& engine_config, const KnnConfig& knn_config = {});
-
-/// Batched classification: scores the whole query block against SoA
-/// mirrors of the shards with the fused kernels (data/kernels.hpp) and
-/// drives every query through one engine run, so shard conversion, label
-/// tables and engine setup all amortize across the batch.  Since the
-/// KnnService facade (core/knn_service.hpp) this is a thin composition
-/// of the same stages the facade runs (index build → batched scoring →
-/// classify_scored_batch; byte equality against
-/// KnnService::classify_batch is asserted in tests/test_service.cpp) —
-/// hold a KnnService yourself to keep the dataset resident and amortize
-/// the index build across batches.
-/// Result q equals classify_distributed on shards scored for
-/// queries[q] under `kind`; the whole-batch engine report rides on result
-/// 0's `run.report` (later results carry empty reports — the engine ran
-/// once, not B times).
-/// Note: with the SquaredEuclidean default, VoteRule::InverseDistance
-/// weights by 1/(‖·‖₂² + ε) — still monotone in distance.
-/// `policy` selects each shard's local-scoring structure (brute scan /
-/// kd-tree hybrid / auto heuristic) and `scoring` the thread count and
-/// tiling of the scoring step — neither changes any result byte
-/// (cross-path parity is fuzzed in tests/test_parity.cpp).
-[[nodiscard]] std::vector<ClassifyResult> classify_batch(
-    const std::vector<VectorShard>& shards, const std::vector<std::vector<std::uint32_t>>& labels,
-    std::span<const PointD> queries, std::uint64_t ell, const EngineConfig& engine_config,
-    const KnnConfig& knn_config = {}, VoteRule rule = VoteRule::Majority,
-    MetricKind kind = MetricKind::SquaredEuclidean,
-    ScoringPolicy policy = ScoringPolicy::Brute, const BatchScoringConfig& scoring = {});
-
-/// Batched regression; result q equals regress_distributed on shards
-/// scored for queries[q] under `kind`.  `policy` / `scoring` as in
-/// classify_batch.
-[[nodiscard]] std::vector<RegressResult> regress_batch(
-    const std::vector<VectorShard>& shards, const std::vector<std::vector<double>>& targets,
-    std::span<const PointD> queries, std::uint64_t ell, const EngineConfig& engine_config,
-    const KnnConfig& knn_config = {}, MetricKind kind = MetricKind::SquaredEuclidean,
-    ScoringPolicy policy = ScoringPolicy::Brute, const BatchScoringConfig& scoring = {});
-
-/// Serve-aware batched classification: machine m's labeled training data
-/// is the *live* set behind `snapshots[m]` (a SegmentStore frozen view),
-/// with `labels[m]` mapping point id → label — the id-keyed shape because
-/// a live store's membership churns while positional label arrays cannot.
-/// Labels may cover dead ids; only winners need an entry.  Result q equals
-/// classify_distributed over shards holding exactly each machine's live
-/// points (tested in tests/test_serve.cpp).
-[[nodiscard]] std::vector<ClassifyResult> classify_serve_batch(
-    std::span<const SnapshotPtr> snapshots,
-    const std::vector<std::unordered_map<PointId, std::uint32_t>>& labels,
-    std::span<const PointD> queries, std::uint64_t ell, const EngineConfig& engine_config,
-    const KnnConfig& knn_config = {}, VoteRule rule = VoteRule::Majority,
-    MetricKind kind = MetricKind::SquaredEuclidean, const BatchScoringConfig& scoring = {});
-
-/// Serve-aware batched regression; `targets[m]` maps point id → target.
-[[nodiscard]] std::vector<RegressResult> regress_serve_batch(
-    std::span<const SnapshotPtr> snapshots,
-    const std::vector<std::unordered_map<PointId, double>>& targets,
-    std::span<const PointD> queries, std::uint64_t ell, const EngineConfig& engine_config,
-    const KnnConfig& knn_config = {}, MetricKind kind = MetricKind::SquaredEuclidean,
-    const BatchScoringConfig& scoring = {});
 
 /// Convenience: score labeled vector shards against a query under a metric.
 template <MetricFor M>

@@ -234,4 +234,26 @@ HealthStats MachineHealth::stats() const {
   return stats_;
 }
 
+MachineProbe probe_machines(MachineHealth& health) {
+  MachineProbe probe;
+  probe.skip.assign(health.machines(), 0);
+  for (std::size_t m = 0; m < health.machines(); ++m) {
+    switch (health.check_call(m).status) {
+      case CallStatus::Ok:
+        ++probe.coverage.total;
+        break;
+      case CallStatus::Dead:
+      case CallStatus::TimedOut:
+        probe.skip[m] = 1;
+        ++probe.coverage.total;
+        probe.coverage.missing.push_back(static_cast<std::uint32_t>(m));
+        break;
+      case CallStatus::Retired:
+        probe.skip[m] = 1;
+        break;
+    }
+  }
+  return probe;
+}
+
 }  // namespace dknn

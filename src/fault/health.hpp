@@ -8,10 +8,10 @@
 /// SegmentStore machine would hang the scoring step forever.  `MachineHealth`
 /// makes failure a first-class, *detected* state instead:
 ///
-///   * every cross-machine scoring step consults `check_call(m)` before
-///     touching machine m's data — one bounded probe sequence (per-probe
-///     deadline, `max_retries` retries with exponential backoff) that either
-///     succeeds or marks the machine Dead;
+///   * every cross-machine scoring step consults `check_call(m)` (through
+///     `probe_machines`) before touching machine m's data — one bounded
+///     probe sequence (per-probe deadline, `max_retries` retries with
+///     exponential backoff) that either succeeds or marks the machine Dead;
 ///   * callers that see a non-Ok report skip the machine and surface the
 ///     exactness loss through a `Coverage` field rather than a hang or a
 ///     silent wrong answer;
@@ -116,6 +116,18 @@ struct Coverage {
   }
 };
 
+/// One deadline-guarded probe of every machine before a cross-machine step
+/// (see probe_machines): which machines the step must leave out, and the
+/// coverage the step's answer reports.
+struct MachineProbe {
+  /// skip[m] != 0: machine m is Dead, timed out or Retired — score nothing
+  /// there (an empty slot is a legal empty shard for every protocol).  The
+  /// skip-mask convention of score_vector_shards_batch /
+  /// score_serve_snapshots_batch.
+  std::vector<char> skip;
+  Coverage coverage;
+};
+
 /// One atomically-read (generation, coverage, alive mask) triple — the
 /// detected liveness state at a single instant.  Callers that read
 /// generation() and coverage_now() separately can tear across a concurrent
@@ -198,5 +210,13 @@ class MachineHealth {
   std::uint64_t generation_ = 0;
   HealthStats stats_;
 };
+
+/// The gate of a fault-tolerant scoring step: one `check_call(m)` per
+/// machine.  Dead / timed-out machines are skipped *and* listed in
+/// `coverage.missing`; Retired machines are skipped silently (their data
+/// lives on survivors).  With every machine healthy the mask is all zero
+/// and the coverage complete, so the guarded step scores exactly what the
+/// unguarded one does.
+[[nodiscard]] MachineProbe probe_machines(MachineHealth& health);
 
 }  // namespace dknn

@@ -497,18 +497,13 @@ bool SegmentStore::install_compaction(const CompactionPlan& plan,
 
 // --- snapshot scoring --------------------------------------------------------
 
-namespace {
-
-/// Shared engine of the exact and approx snapshot scorers: accumulates
-/// every live segment's local top-ℓ into per-query candidate pools and
-/// merges.  With `approx`, graph-carrying segments are beam-searched and
-/// exact-reranked instead of scanned (the only place the two paths
-/// diverge); min(ℓ, live) of the pooled candidates is the global answer —
-/// exactly for the exact path, with per-segment recall semantics for the
-/// approx one.
-void snapshot_top_ell_impl(const ServeSnapshot& snapshot, std::span<const PointD> queries,
-                           std::size_t ell, MetricKind kind, bool approx,
-                           std::vector<std::vector<Key>>& out, KernelScratch& scratch) {
+/// Accumulates every live segment's local top-ℓ into per-query candidate
+/// pools and merges: min(ℓ, live) of the pooled candidates is the global
+/// answer — exact over exactly-scored segments, with per-segment recall
+/// semantics over graph-carrying ones.
+void snapshot_top_ell_batch(const ServeSnapshot& snapshot, std::span<const PointD> queries,
+                            std::size_t ell, MetricKind kind,
+                            std::vector<std::vector<Key>>& out, KernelScratch& scratch) {
   out.resize(queries.size());
   if (snapshot.live_points > 0) {
     for (const PointD& query : queries) require_query_dim(snapshot.dim, query.dim());
@@ -523,7 +518,7 @@ void snapshot_top_ell_impl(const ServeSnapshot& snapshot, std::span<const PointD
   ann::AnnSearchScratch ann_scratch;
   for (const SegmentView& seg : snapshot.segments) {
     if (seg.live() == 0) continue;
-    if (approx && seg.data->ann != nullptr) {
+    if (seg.data->ann != nullptr) {
       // Graph segment: seeded beam search for candidates, exact rerank for
       // Keys.  The view's tombstones filter the results (the graph is
       // shared across snapshots, so per-snapshot deadness lives here).
@@ -558,21 +553,6 @@ void snapshot_top_ell_impl(const ServeSnapshot& snapshot, std::span<const PointD
   for (std::size_t q = 0; q < queries.size(); ++q) {
     out[q] = top_ell_smallest(std::span<const Key>(candidates[q]), ell);
   }
-}
-
-}  // namespace
-
-void snapshot_top_ell_batch(const ServeSnapshot& snapshot, std::span<const PointD> queries,
-                            std::size_t ell, MetricKind kind,
-                            std::vector<std::vector<Key>>& out, KernelScratch& scratch) {
-  snapshot_top_ell_impl(snapshot, queries, ell, kind, /*approx=*/false, out, scratch);
-}
-
-void snapshot_approx_top_ell_batch(const ServeSnapshot& snapshot,
-                                   std::span<const PointD> queries, std::size_t ell,
-                                   MetricKind kind, std::vector<std::vector<Key>>& out,
-                                   KernelScratch& scratch) {
-  snapshot_top_ell_impl(snapshot, queries, ell, kind, /*approx=*/true, out, scratch);
 }
 
 std::vector<Key> snapshot_top_ell(const ServeSnapshot& snapshot, const PointD& query,

@@ -314,7 +314,15 @@ class SegmentStore {
 /// query's global top-ℓ.  `out` is resized to queries.size(); out[q]
 /// holds min(ℓ, live) keys ascending.
 /// Byte-identical to fused_top_ell_batch over a FlatStore rebuilt from
-/// the live set (fuzzed in tests/test_serve.cpp).
+/// the live set (fuzzed in tests/test_serve.cpp) — unless some segment
+/// carries a k-NN graph (ScoringPolicy::Approx seals of ≥
+/// AnnConfig::min_points rows).  Such a segment is beam-searched and
+/// exact-reranked (src/ann/graph_search.hpp) while every other segment —
+/// including the delta mirror, so fresh inserts are never invisible —
+/// scores exactly.  Tombstoned rows are filtered through the view's
+/// bitmap and can never be returned.  Every returned Key is the point's
+/// exact (rank, id); only *which* points surface is approximate
+/// (recall@ℓ — see src/ann/README.md).
 void snapshot_top_ell_batch(const ServeSnapshot& snapshot, std::span<const PointD> queries,
                             std::size_t ell, MetricKind kind,
                             std::vector<std::vector<Key>>& out, KernelScratch& scratch);
@@ -323,20 +331,5 @@ void snapshot_top_ell_batch(const ServeSnapshot& snapshot, std::span<const Point
 [[nodiscard]] std::vector<Key> snapshot_top_ell(const ServeSnapshot& snapshot,
                                                 const PointD& query, std::size_t ell,
                                                 MetricKind kind);
-
-/// Approximate variant: graph-carrying segments (ScoringPolicy::Approx
-/// seals of ≥ AnnConfig::min_points rows) are beam-searched and
-/// exact-reranked (src/ann/graph_search.hpp); every other segment —
-/// including the delta mirror, so fresh inserts are never invisible —
-/// scores exactly as snapshot_top_ell_batch.  Tombstoned rows are filtered
-/// through the view's bitmap and can never be returned.  Every returned
-/// Key is the point's exact (rank, id); only *which* points surface is
-/// approximate (recall@ℓ — see src/ann/README.md; NOT byte-parity with the
-/// exact path).  On a snapshot with no graph-carrying segments this is the
-/// exact answer.
-void snapshot_approx_top_ell_batch(const ServeSnapshot& snapshot,
-                                   std::span<const PointD> queries, std::size_t ell,
-                                   MetricKind kind, std::vector<std::vector<Key>>& out,
-                                   KernelScratch& scratch);
 
 }  // namespace dknn

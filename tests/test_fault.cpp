@@ -147,7 +147,7 @@ TEST(Health, SlowBeyondBudgetDetectedDeadThenReviveClearsMode) {
   EXPECT_TRUE(health.check_call(1).ok());
 }
 
-// --- guarded scoring: skip dead machines, byte parity when healthy -----------
+// --- guarded scoring: probe + skip mask, byte parity when healthy ------------
 
 std::vector<PointD> fault_test_points(std::size_t n, std::size_t dim, Rng& rng) {
   std::vector<PointD> points;
@@ -169,15 +169,16 @@ TEST(GuardedScoring, AllAliveByteIdenticalToUnguarded) {
 
   const auto legacy = score_vector_shards_batch(indexes, queries, 6, MetricKind::Euclidean);
   MachineHealth health(4);
-  const GuardedScoreBatch guarded = score_vector_shards_batch_guarded(
-      indexes, queries, 6, MetricKind::Euclidean, health);
+  const MachineProbe probe = probe_machines(health);
+  const auto guarded =
+      score_vector_shards_batch(indexes, queries, 6, MetricKind::Euclidean, {}, probe.skip);
 
-  EXPECT_TRUE(guarded.coverage.complete());
-  EXPECT_EQ(guarded.coverage.total, 4u);
-  ASSERT_EQ(guarded.scored.size(), legacy.size());
+  EXPECT_TRUE(probe.coverage.complete());
+  EXPECT_EQ(probe.coverage.total, 4u);
+  ASSERT_EQ(guarded.size(), legacy.size());
   for (std::size_t q = 0; q < legacy.size(); ++q) {
     for (std::size_t m = 0; m < legacy[q].size(); ++m) {
-      expect_same_keys(legacy[q][m], guarded.scored[q][m], "guarded parity");
+      expect_same_keys(legacy[q][m], guarded[q][m], "guarded parity");
     }
   }
 }
@@ -194,16 +195,17 @@ TEST(GuardedScoring, DeadMachineSkippedAndDegradedAnswerExact) {
                                                 MetricKind::SquaredEuclidean);
   MachineHealth health(4);
   health.kill(2);
-  const GuardedScoreBatch guarded = score_vector_shards_batch_guarded(
-      indexes, queries, ell, MetricKind::SquaredEuclidean, health);
+  const MachineProbe probe = probe_machines(health);
+  const auto guarded = score_vector_shards_batch(indexes, queries, ell,
+                                                 MetricKind::SquaredEuclidean, {}, probe.skip);
 
-  EXPECT_EQ(guarded.coverage.total, 4u);
-  ASSERT_EQ(guarded.coverage.missing, (std::vector<std::uint32_t>{2}));
+  EXPECT_EQ(probe.coverage.total, 4u);
+  ASSERT_EQ(probe.coverage.missing, (std::vector<std::uint32_t>{2}));
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    EXPECT_TRUE(guarded.scored[q][2].empty());
+    EXPECT_TRUE(guarded[q][2].empty());
     for (std::size_t m = 0; m < 4; ++m) {
       if (m == 2) continue;
-      expect_same_keys(legacy[q][m], guarded.scored[q][m], "surviving shard");
+      expect_same_keys(legacy[q][m], guarded[q][m], "surviving shard");
     }
   }
 
@@ -213,7 +215,7 @@ TEST(GuardedScoring, DeadMachineSkippedAndDegradedAnswerExact) {
   EngineConfig engine;
   engine.world_size = 4;
   engine.measure_compute = false;
-  const BatchRunResult batch = run_knn_batch(guarded.scored, ell, KnnAlgo::DistKnn, engine);
+  const BatchRunResult batch = run_knn_batch(guarded, ell, KnnAlgo::DistKnn, engine);
   for (std::size_t q = 0; q < queries.size(); ++q) {
     std::vector<Key> pool;
     for (std::size_t m = 0; m < 4; ++m) {
@@ -244,12 +246,13 @@ TEST(GuardedScoring, ServeSnapshotsSkipDeadStores) {
   snapshots.push_back(stores[2]->snapshot());
 
   const auto queries = fault_test_points(3, 2, rng);
-  const GuardedScoreBatch guarded = score_serve_snapshots_batch_guarded(
-      snapshots, queries, 4, MetricKind::Euclidean, health);
-  ASSERT_EQ(guarded.coverage.missing, (std::vector<std::uint32_t>{0}));
+  const MachineProbe probe = probe_machines(health);
+  const auto guarded =
+      score_serve_snapshots_batch(snapshots, queries, 4, MetricKind::Euclidean, {}, probe.skip);
+  ASSERT_EQ(probe.coverage.missing, (std::vector<std::uint32_t>{0}));
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    EXPECT_TRUE(guarded.scored[q][0].empty());
-    EXPECT_FALSE(guarded.scored[q][1].empty());
+    EXPECT_TRUE(guarded[q][0].empty());
+    EXPECT_FALSE(guarded[q][1].empty());
   }
 }
 
@@ -742,7 +745,9 @@ TEST(ElectionFaults, DuplicateOnlyPlansMustAgree) {
       std::set<MachineId> leaders;
       for (const auto& outcome : outcomes) leaders.insert(outcome.leader);
       ASSERT_EQ(leaders.size(), 1u) << "seed=" << seed << " sublinear=" << sublinear;
-      if (!sublinear) EXPECT_EQ(*leaders.begin(), 0u);
+      if (!sublinear) {
+        EXPECT_EQ(*leaders.begin(), 0u);
+      }
     }
   }
 }

@@ -304,7 +304,9 @@ TEST(ObsParity, TracedAndUntracedAnswersAreByteIdentical) {
     for (const PointD& q : queries) out.push_back(service.query(q, options).keys);
     const BatchQueryResult batch = service.query_batch(queries, options);
     for (const QueryResult& r : batch.per_query) out.push_back(r.keys);
-    if (force) EXPECT_FALSE(service.recent_traces().empty());
+    if (force) {
+      EXPECT_FALSE(service.recent_traces().empty());
+    }
     return out;
   };
 
@@ -346,6 +348,65 @@ TEST(ObsParity, FacadeCountersReconcile) {
   EXPECT_EQ(queries_delta, 96u);
   EXPECT_EQ(hits_delta + misses_delta, queries_delta);
   EXPECT_GT(hits_delta, 0u);  // rounds 2-3 hit
+}
+
+/// The ledger holds for every entry point, not just query/query_batch:
+/// classify/regress answers count as cache-bypass misses, so ServiceStats
+/// keeps hits + misses == queries and moves in step with the registry.
+TEST(ObsParity, LedgerReconcilesAcrossEntryPoints) {
+  const EnabledGuard guard;
+  registry().set_enabled(true);
+  const auto value_of = [](const MetricsSnapshot& snap, std::string_view name) {
+    const CounterSnapshot* c = snap.find_counter(name);
+    return c != nullptr ? c->value : 0;
+  };
+
+  Rng rng(31);
+  const std::vector<PointD> points = uniform_points(300, 3, 50.0, rng);
+  std::vector<std::uint32_t> labels(points.size());
+  std::vector<double> targets(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    labels[i] = static_cast<std::uint32_t>(i % 3);
+    targets[i] = static_cast<double>(i) * 0.5;
+  }
+  KnnServiceBuilder builder;
+  builder.machines(3).ell(5).seed(4).cache_capacity(64);
+  builder.dataset(points).labels(labels).targets(targets);
+  KnnService service = builder.build();
+  const auto queries = uniform_points(3, 3, 50.0, rng);
+
+  const MetricsSnapshot before = registry().snapshot();
+  (void)service.query_batch(queries);
+  (void)service.classify_batch(queries);
+  (void)service.regress_batch(queries);
+  (void)service.query_batch(queries);  // all three hit the cache
+  const MetricsSnapshot after = registry().snapshot();
+  const auto delta = [&](std::string_view name) {
+    return value_of(after, name) - value_of(before, name);
+  };
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.queries, 12u);
+  EXPECT_EQ(stats.batches, 3u);
+  EXPECT_EQ(stats.cache_hits, 3u);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries);
+  EXPECT_EQ(delta("dknn_service_queries_total"), stats.queries);
+  EXPECT_EQ(delta("dknn_service_batches_total"), stats.batches);
+  EXPECT_EQ(delta("dknn_service_cache_hits_total"), stats.cache_hits);
+  EXPECT_EQ(delta("dknn_service_cache_misses_total"), stats.cache_misses);
+}
+
+/// An empty query_batch answers nothing, so it takes no sampling slot: the
+/// next non-empty batch is the one the 1-in-2 gate samples.
+TEST(ObsTracer, EmptyBatchTakesNoSamplingSlot) {
+  Rng rng(37);
+  KnnServiceBuilder builder;
+  builder.machines(2).ell(4).dataset(uniform_points(200, 3, 50.0, rng));
+  KnnService service = builder.build();
+  service.set_trace_sampling(2);
+  (void)service.query_batch(std::span<const PointD>{});
+  (void)service.query_batch(uniform_points(3, 3, 50.0, rng));
+  EXPECT_EQ(service.recent_traces().size(), 1u);
 }
 
 }  // namespace

@@ -164,18 +164,6 @@ void check_all_paths(const FuzzCase& fc) {
       }
     }
   }
-
-  // The pre-existing FlatStore overload stays on the same bytes too.
-  {
-    SCOPED_TRACE("legacy-flat-stores");
-    const auto got =
-        score_vector_shards_batch(make_flat_stores(fc.shards), fc.queries, fc.ell, fc.kind);
-    for (std::size_t q = 0; q < fc.queries.size(); ++q) {
-      for (std::size_t m = 0; m < fc.shards.size(); ++m) {
-        expect_same_keys(expected[q][m], got[q][m], "legacy", q, m);
-      }
-    }
-  }
 }
 
 void run_trial(std::uint64_t seed) {

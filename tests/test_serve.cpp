@@ -562,6 +562,8 @@ TEST(ServeDriver, SnapshotScoringFeedsRunKnnBatchLikeRebuiltShards) {
   }
 }
 
+// The serve-side classify / regress composition: snapshot scoring +
+// the shared-table scored-batch stage (what a live KnnService runs).
 TEST(ServeMlapi, ClassifyServeBatchMatchesClassifyDistributed) {
   Rng rng(10);
   constexpr std::size_t kMachines = 2;
@@ -584,7 +586,13 @@ TEST(ServeMlapi, ClassifyServeBatchMatchesClassifyDistributed) {
 
   EngineConfig engine;
   engine.seed = 5;
-  const auto serve = classify_serve_batch(snapshots, labels, queries, 9, engine);
+  using LabelTable = std::unordered_map<PointId, std::uint32_t>;
+  std::vector<std::shared_ptr<const LabelTable>> shared_labels;
+  for (const LabelTable& table : labels) {
+    shared_labels.push_back(std::make_shared<const LabelTable>(table));
+  }
+  const auto serve = classify_scored_batch(score_serve_snapshots_batch(snapshots, queries, 9),
+                                           shared_labels, 9, engine);
   ASSERT_EQ(serve.size(), queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
     // Reference: classify_distributed over shards rebuilt from the live
@@ -621,7 +629,10 @@ TEST(ServeMlapi, RegressServeBatchAveragesLiveTargets) {
 
   EngineConfig engine;
   engine.seed = 6;
-  const auto results = regress_serve_batch(snapshots, targets, queries, 4, engine);
+  const std::vector<std::shared_ptr<const std::unordered_map<PointId, double>>> shared_targets = {
+      std::make_shared<const std::unordered_map<PointId, double>>(targets[0])};
+  const auto results = regress_scored_batch(score_serve_snapshots_batch(snapshots, queries, 4),
+                                            shared_targets, 4, engine);
   ASSERT_EQ(results.size(), queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
     const auto winners = oracle_top_ell(live, queries[q], 4, MetricKind::SquaredEuclidean);

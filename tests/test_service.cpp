@@ -720,36 +720,56 @@ TEST(ServiceParityFuzz, AlgoOverrideKeepsExactAnswers) {
   }
 }
 
-// --- mlapi wrappers stay byte-faithful through the facade --------------------
+// --- one scoring step: classify / regress score exactly like query_batch ----
 
-TEST(ServiceMlapi, ClassifyBatchWrapperMatchesFacade) {
-  Rng rng(41);
-  ServiceFuzzCase fc = make_service_case(0x1ABE1ULL);
-  // Positional labels per shard, deterministic from the ids.
-  std::vector<std::vector<std::uint32_t>> labels(fc.shards.size());
-  for (std::size_t m = 0; m < fc.shards.size(); ++m) {
-    for (const PointId id : fc.shards[m].ids) {
-      labels[m].push_back(static_cast<std::uint32_t>(id % 5));
-    }
+TEST(ServiceMlapi, ClassifyAndRegressKeysEqualQueryBatchKeys) {
+  // Every read entry point shares the facade's scoring step, so the ℓ-NN
+  // a vote runs over is query_batch's answer — in both modes, degraded
+  // (one machine killed) or not, and under the approx tier too (min_points
+  // low enough that every shard / sealed segment carries a graph, and a
+  // beam narrow enough that the graph answer differs from the exact one).
+  Rng rng(43);
+  const std::vector<PointD> points = uniform_points(1600, 8, 50.0, rng);
+  std::vector<std::uint32_t> labels(points.size());
+  std::vector<double> targets(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    labels[i] = static_cast<std::uint32_t>(i % 5);
+    targets[i] = static_cast<double>(i) * 0.25;
   }
-  if (fc.total == 0 || fc.ell == 0) return;
+  const std::vector<PointD> queries = uniform_points(6, 8, 50.0, rng);
+  ann::AnnConfig ann;
+  ann.min_points = 32;
+  ann.degree = 4;
+  ann.ef = 8;
+  ann.seeds = 1;
+  for (const bool live : {false, true}) {
+    for (const bool fault_tolerant : {false, true}) {
+      for (const ScoringPolicy policy : {ScoringPolicy::Brute, ScoringPolicy::Approx}) {
+        SCOPED_TRACE(std::string(live ? "live" : "static") +
+                     (fault_tolerant ? " fault-tolerant " : " plain ") +
+                     scoring_policy_name(policy));
+        KnnServiceBuilder builder;
+        builder.machines(4).ell(7).policy(policy).ann(ann);
+        builder.dataset(points).labels(labels).targets(targets);
+        if (live) builder.live();
+        if (fault_tolerant) builder.fault_tolerant();
+        KnnService service = builder.build();
+        if (fault_tolerant) service.kill_machine(1);
 
-  EngineConfig engine;
-  const auto wrapper = classify_batch(fc.shards, labels, fc.queries, fc.ell, engine);
-
-  KnnService service = KnnServiceBuilder()
-                           .ell(fc.ell)
-                           .engine(engine)
-                           .dim(fc.dim)
-                           .dataset_sharded(fc.shards)
-                           .labels_sharded(labels)
-                           .build();
-  const auto direct = service.classify_batch(fc.queries);
-  ASSERT_EQ(wrapper.size(), direct.size());
-  for (std::size_t q = 0; q < wrapper.size(); ++q) {
-    EXPECT_EQ(wrapper[q].label, direct[q].label);
-    ASSERT_EQ(wrapper[q].votes.size(), direct[q].votes.size());
-    expect_same_keys(wrapper[q].run.keys, direct[q].run.keys, "classify wrapper");
+        const BatchQueryResult batch = service.query_batch(queries);
+        const auto classified = service.classify_batch(queries);
+        const auto regressed = service.regress_batch(queries);
+        ASSERT_EQ(classified.size(), queries.size());
+        ASSERT_EQ(regressed.size(), queries.size());
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+          expect_same_keys(batch.per_query[q].keys, classified[q].run.keys, "classify");
+          expect_same_keys(batch.per_query[q].keys, regressed[q].run.keys, "regress");
+          if (fault_tolerant) {
+            EXPECT_EQ(batch.per_query[q].coverage.missing, (std::vector<std::uint32_t>{1}));
+          }
+        }
+      }
+    }
   }
 }
 
