@@ -26,13 +26,8 @@ REQUIRED_SCENARIOS = (
     "uniform_d2", "uniform_d8", "uniform_d64", "uniform_d256",
     "clustered_d8", "clustered_d64",
     "zipf_queries_d8", "zipf_churn_d8", "uniform_churn_d8", "delete_storm_d8",
-    "open_loop_qps_d8", "calibration", "obs_overhead", "approx_d8",
+    "open_loop_qps_d8", "calibration", "obs_overhead",
 )
-APPROX_FIELDS = ("n", "dim", "ell", "queries", "exact_qps", "approx_qps",
-                 "speedup", "recall", "latency_ms")
-# Loose floor for the smoke sizes; bench_ann's checker owns the 0.9 contract
-# at the default operating point.
-APPROX_RECALL_FLOOR = 0.8
 OBS_OVERHEAD_FIELDS = ("metrics_on_qps", "metrics_off_qps", "overhead_fraction",
                        "budget_fraction")
 
@@ -115,18 +110,6 @@ def main():
             if field not in cell:
                 fail(f"calibration cell {i}: missing '{field}'")
 
-    approx = scenarios["approx_d8"]
-    if approx.get("mode") != "approx":
-        fail("approx_d8 stanza is not mode 'approx'")
-    for field in APPROX_FIELDS:
-        if field not in approx:
-            fail(f"approx_d8: missing '{field}'")
-    if not 0.0 <= approx["recall"] <= 1.0:
-        fail(f"approx_d8: recall {approx['recall']} outside [0, 1]")
-    if approx["recall"] < APPROX_RECALL_FLOOR:
-        fail(f"approx_d8: recall {approx['recall']} < {APPROX_RECALL_FLOOR}")
-    check_latency(approx["latency_ms"], "approx_d8")
-
     obs = scenarios["obs_overhead"]
     if obs.get("mode") != "obs-overhead":
         fail("obs_overhead stanza is not mode 'obs-overhead'")
@@ -138,9 +121,7 @@ def main():
 
     print(f"schema check OK: {len(closed)} closed-loop stanzas, "
           f"{len(levels)} open-loop levels, {len(grid)} calibration cells, "
-          f"obs overhead {obs['overhead_fraction']:.4f}, "
-          f"approx recall {approx['recall']:.4f} "
-          f"at {approx['speedup']:.2f}x")
+          f"obs overhead {obs['overhead_fraction']:.4f}")
 
 
 if __name__ == "__main__":

@@ -58,7 +58,7 @@ namespace dknn::bench {
   if (p >= 1.0) return sorted.back();
   const double h = static_cast<double>(sorted.size() - 1) * p;
   const auto lo = static_cast<std::size_t>(h);
-  if (lo + 1 >= sorted.size()) return sorted.back();
+  if (lo >= sorted.size() - 1) return sorted.back();
   const double frac = h - static_cast<double>(lo);
   return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
 }

@@ -33,16 +33,8 @@
 // src/seq/scoring_policy.cpp is derived from these rows (routing only —
 // both paths return byte-identical keys, fuzzed in tests/test_parity.cpp).
 //
-// The `approx_d8` stanza is the approximate tier's serving story: the same
-// uniform-d8 dataset behind ScoringPolicy::Approx (segment k-NN graphs +
-// exact rerank, delta buffer exact by construction) vs the exact Auto
-// service, reporting both arms' q/s and the approx arm's measured recall@ℓ
-// against the exact answers.  It runs at its own size (--approx-n, default
-// 100000 — the regime where graph search beats the fused brute kernels;
-// CI shrinks it to 4000 for the smoke leg).
-//
 //   ./bench_scenarios [--json=BENCH_scenarios.json] [--n=40000] [--ell=32]
-//                     [--queries=400] [--seed=5] [--approx-n=100000]
+//                     [--queries=400] [--seed=5]
 
 #include <chrono>
 #include <cinttypes>
@@ -70,7 +62,6 @@ struct Config {
   std::size_t ell = 32;
   std::size_t queries = 400;
   std::uint64_t seed = 5;
-  std::size_t approx_n = 100000;  ///< approx_d8 stanza size (CI passes 4000)
 };
 
 constexpr std::uint32_t kMachines = 2;
@@ -217,92 +208,6 @@ Row run_closed_loop(const Scenario& s, const Config& cfg) {
     (void)service.compact_now();
     row.debt_after = service.compaction_debt();
   }
-  return row;
-}
-
-/// The approx-tier stanza's measured row (exact arm vs approx arm).
-struct ApproxRow {
-  std::size_t n = 0;
-  std::size_t ell = 0;
-  std::size_t queries = 0;
-  double exact_qps = 0.0;
-  double approx_qps = 0.0;
-  double speedup = 0.0;
-  double recall = 0.0;
-  bench::LatencySummary latency;  ///< approx arm per-query latency
-};
-
-constexpr std::size_t kApproxEll = 64;
-
-double recall_against(const std::vector<Key>& answer, const std::vector<Key>& oracle) {
-  if (oracle.empty()) return 1.0;
-  std::size_t hit = 0;
-  for (const Key& k : answer)
-    for (const Key& o : oracle)
-      if (k.id == o.id) { ++hit; break; }
-  return static_cast<double>(hit) / static_cast<double>(oracle.size());
-}
-
-/// Approx stanza: the canonical uniform-d8 dataset served twice — once by
-/// the exact Auto policy, once by ScoringPolicy::Approx — same query picks,
-/// recall measured per query against the exact service's answers.
-ApproxRow run_approx_arm(const Config& cfg) {
-  ApproxRow row;
-  row.n = cfg.approx_n;
-  row.ell = kApproxEll;
-  row.queries = std::max<std::size_t>(8, cfg.queries);
-
-  Rng rng(cfg.seed);
-  const auto points = make_dataset(DataKind::Uniform, row.n, 8, rng);
-  const auto pool = make_dataset(DataKind::Uniform, kQueryPool, 8, rng);
-
-  KnnService exact = build_service(points, kApproxEll, cfg.seed, /*cache=*/false);
-
-  // Segments seal at n/8 so even the CI size (--approx-n=4000) builds real
-  // graphs; points still in the delta buffer are scored exactly by design.
-  ServeConfig serve{.seal_threshold = std::max<std::size_t>(1024, row.n / 8),
-                    .policy = ScoringPolicy::Approx};
-  serve.ann.min_points = 256;
-  KnnService approx = KnnServiceBuilder()
-                          .machines(kMachines)
-                          .ell(kApproxEll)
-                          .live(serve)
-                          .scoring(BatchScoringConfig{.threads = 1})
-                          .seed(cfg.seed)
-                          .dataset(points)
-                          .build();
-
-  // Exact answers for the whole pool double as the recall oracle.
-  std::vector<std::vector<Key>> oracle(pool.size());
-  for (std::size_t i = 0; i < pool.size(); ++i) oracle[i] = exact.query(pool[i]).keys;
-
-  Rng traffic(cfg.seed + 1);
-  std::vector<std::size_t> picks(row.queries);
-  for (auto& p : picks) p = static_cast<std::size_t>(traffic.below(kQueryPool));
-
-  {
-    const WallTimer t;
-    for (const std::size_t pick : picks) (void)exact.query(pool[pick]);
-    row.exact_qps = static_cast<double>(row.queries) / t.elapsed_sec();
-  }
-
-  // One warmup query builds every segment's graph (lazy, one-time) so the
-  // measured window times searches, not NN-descent.
-  (void)approx.query(pool[0]);
-  std::vector<double> latencies_ms;
-  latencies_ms.reserve(row.queries);
-  double recall_sum = 0.0;
-  const WallTimer t;
-  for (const std::size_t pick : picks) {
-    const WallTimer timer;
-    const auto result = approx.query(pool[pick]);
-    latencies_ms.push_back(ns_to_ms(timer.elapsed_ns()));
-    recall_sum += recall_against(result.keys, oracle[pick]);
-  }
-  row.approx_qps = static_cast<double>(row.queries) / t.elapsed_sec();
-  row.speedup = row.exact_qps > 0.0 ? row.approx_qps / row.exact_qps : 0.0;
-  row.recall = recall_sum / static_cast<double>(row.queries);
-  row.latency = bench::summarize_latencies(latencies_ms);
   return row;
 }
 
@@ -471,13 +376,6 @@ int emit_json(const std::string& path, const Config& cfg) {
                 r.tree.scan_fraction(std::max<std::size_t>(1, r.n / kMachines)));
   }
 
-  // --- approx tier A/B ------------------------------------------------------
-  const ApproxRow approx = run_approx_arm(cfg);
-  std::printf("approx_d8 (n=%zu, ell=%zu): exact %.0f q/s vs approx %.0f q/s "
-              "(%.2fx), recall %.4f\n",
-              approx.n, approx.ell, approx.exact_qps, approx.approx_qps, approx.speedup,
-              approx.recall);
-
   // --- obs-overhead A/B -----------------------------------------------------
   // The canonical stanza twice over: metrics registry disabled (every
   // instrument collapses to one relaxed load + branch) vs enabled with trace
@@ -561,16 +459,6 @@ int emit_json(const std::string& path, const Config& cfg) {
   for (const Row& row : rows) write_row(f, row);
 
   std::fprintf(f,
-               "    \"approx_d8\": {\"mode\": \"approx\", \"n\": %zu, \"dim\": 8, "
-               "\"ell\": %zu, \"data\": \"uniform\", \"queries\": %zu, "
-               "\"exact_qps\": %.1f, \"approx_qps\": %.1f, \"speedup\": %.3f, "
-               "\"recall\": %.4f,\n      \"latency_ms\": ",
-               approx.n, approx.ell, approx.queries, approx.exact_qps, approx.approx_qps,
-               approx.speedup, approx.recall);
-  write_latency_object(f, approx.latency);
-  std::fprintf(f, "},\n");
-
-  std::fprintf(f,
                "    \"obs_overhead\": {\"mode\": \"obs-overhead\", \"n\": %zu, \"dim\": 8, "
                "\"queries\": %zu, \"metrics_on_qps\": %.1f, \"metrics_off_qps\": %.1f, "
                "\"overhead_fraction\": %.4f, \"budget_fraction\": 0.03},\n",
@@ -621,7 +509,6 @@ int main(int argc, char** argv) {
   cli.add_flag("ell", "neighbors per query", "32");
   cli.add_flag("queries", "measured queries per full-size stanza", "400");
   cli.add_flag("seed", "experiment seed", "5");
-  cli.add_flag("approx-n", "resident points for the approx_d8 stanza", "100000");
   if (!cli.parse(argc, argv)) return 0;
 
   Config cfg;
@@ -629,7 +516,6 @@ int main(int argc, char** argv) {
   cfg.ell = cli.get_uint("ell");
   cfg.queries = cli.get_uint("queries");
   cfg.seed = cli.get_uint("seed");
-  cfg.approx_n = cli.get_uint("approx-n");
 
   const std::string json_path = cli.get("json");
   if (!json_path.empty()) return emit_json(json_path, cfg);

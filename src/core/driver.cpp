@@ -4,7 +4,6 @@
 #include <cmath>
 #include <thread>
 
-#include "ann/graph_search.hpp"
 #include "core/binsearch.hpp"
 #include "core/saukas_song.hpp"
 #include "core/simple_knn.hpp"
@@ -208,8 +207,7 @@ std::vector<std::vector<Key>> quantize_scored_shards(std::vector<std::vector<Key
 }
 
 std::vector<ShardIndex> make_shard_indexes(const std::vector<VectorShard>& shards,
-                                           ScoringPolicy policy, std::size_t leaf_size,
-                                           const ann::AnnConfig& ann) {
+                                           ScoringPolicy policy, std::size_t leaf_size) {
   std::vector<ShardIndex> indexes(shards.size());
   for (std::size_t m = 0; m < shards.size(); ++m) {
     const auto& shard = shards[m];
@@ -225,13 +223,6 @@ std::vector<ShardIndex> make_shard_indexes(const std::vector<VectorShard>& shard
     } else {
       indexes[m].flat =
           FlatStore(std::span<const PointD>(shard.points), std::span<const PointId>(shard.ids));
-      // Approx shards keep the flat store (the graph's rerank and the
-      // exact fallback both need it) and lazily attach a k-NN graph.
-      // Shards below min_points stay graph-less and score exactly.
-      if (policy == ScoringPolicy::Approx &&
-          shard.points.size() >= std::max<std::size_t>(ann.min_points, 2)) {
-        indexes[m].ann = std::make_shared<ann::GraphSlot>(ann);
-      }
     }
   }
   return indexes;
@@ -254,9 +245,7 @@ void reset_tree_stats(const std::vector<ShardIndex>& indexes) {
 namespace {
 
 /// One (shard, query block) tile through the shard's policy path: the
-/// kd-hybrid for a tree shard, the beam search for a graph-carrying
-/// (Approx) shard — recall semantics, see src/ann/README.md — and the
-/// fused scan otherwise.
+/// kd-hybrid for a tree shard, the fused scan otherwise.
 void score_tile(const ShardIndex& index, std::span<const PointD> queries, std::uint64_t ell,
                 MetricKind kind, std::vector<std::vector<Key>>& keys, KernelScratch& scratch) {
   if (index.has_tree()) {
@@ -264,23 +253,12 @@ void score_tile(const ShardIndex& index, std::span<const PointD> queries, std::u
                          scratch);
     return;
   }
-  if (index.ann != nullptr) {
-    const ann::KnnGraph& graph = index.ann->get_or_build(index.store());
-    const std::size_t ef = std::max<std::size_t>(index.ann->config().ef, ell);
-    ann::AnnSearchScratch ann_scratch;
-    keys.resize(queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      ann::ann_top_ell(graph, queries[i], static_cast<std::size_t>(ell), ef, kind, nullptr,
-                       keys[i], ann_scratch, scratch);
-    }
-    return;
-  }
   fused_top_ell_batch(index.store(), queries, static_cast<std::size_t>(ell), kind, keys,
                       scratch);
 }
 
 /// A live machine's tile: every live segment of its snapshot (delta
-/// mirror, kd-hybrid and graph segments included), merged.
+/// mirror and kd-hybrid segments included), merged.
 void score_tile(const SnapshotPtr& snapshot, std::span<const PointD> queries,
                 std::uint64_t ell, MetricKind kind, std::vector<std::vector<Key>>& keys,
                 KernelScratch& scratch) {
@@ -290,10 +268,9 @@ void score_tile(const SnapshotPtr& snapshot, std::span<const PointD> queries,
 
 /// The store a shard brute-scans, or null when the slab splitter must
 /// treat it as opaque: a kd-tree shard's traversal is hierarchical, not a
-/// row scan, and an approx shard's beam search walks the whole graph from
-/// fixed seeds.
+/// row scan.
 const FlatStore* scanned_store(const ShardIndex& index) {
-  if (index.has_tree() || index.ann != nullptr) return nullptr;
+  if (index.has_tree()) return nullptr;
   return &index.store();
 }
 
@@ -339,7 +316,7 @@ constexpr std::size_t kMinSlabRows = 4096;
 /// the concatenated slab winners equal the unsplit scan's answer (fuzzed
 /// against the unsplit grid in tests/test_parity.cpp).
 /// A null or empty `scanned_store(source)` marks a machine opaque
-/// (tree-indexed and approx shards, serve snapshots, skipped machines): it
+/// (tree-indexed shards, serve snapshots, skipped machines): it
 /// is scored whole by `score_tile` in query blocks of about
 /// Q ÷ (4 × threads).  The serial path scores every machine whole.
 template <typename Source>

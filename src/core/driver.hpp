@@ -158,14 +158,10 @@ template <MetricFor M>
 }
 
 /// One shard's resident scoring structures: always an SoA store, plus the
-/// kd-tree when the policy selected the hybrid path for this shard, plus a
-/// lazily-built k-NN graph slot when the policy is Approx and the shard is
-/// large enough (see src/ann/README.md).  A shard that carries a graph is
-/// always beam-searched — ScoringPolicy::Approx is the one approx switch.
+/// kd-tree when the policy selected the hybrid path for this shard.
 struct ShardIndex {
   FlatStore flat;                      ///< engaged iff tree == nullptr
   std::unique_ptr<KdRangeIndex> tree;  ///< engaged iff the tree path won
-  std::shared_ptr<ann::GraphSlot> ann; ///< engaged iff ScoringPolicy::Approx applies
 
   [[nodiscard]] bool has_tree() const { return tree != nullptr; }
   /// The store brute scans: the tree's reordered mirror when present.
@@ -174,11 +170,10 @@ struct ShardIndex {
 
 /// Builds each shard's scoring structures once per resident dataset
 /// (one SoA copy per shard; after that, batched scoring never touches
-/// PointD).  ScoringPolicy::Brute gives plain SoA shards.  `ann` supplies the graph knobs for ScoringPolicy::Approx (ignored
-/// otherwise).
+/// PointD).  ScoringPolicy::Brute gives plain SoA shards.
 [[nodiscard]] std::vector<ShardIndex> make_shard_indexes(
     const std::vector<VectorShard>& shards, ScoringPolicy policy,
-    std::size_t leaf_size = KdRangeIndex::kDefaultLeafSize, const ann::AnnConfig& ann = {});
+    std::size_t leaf_size = KdRangeIndex::kDefaultLeafSize);
 
 /// Cumulative kd-hybrid traversal counters summed over every tree-indexed
 /// shard (brute shards contribute nothing).  Counters accumulate across
@@ -195,8 +190,8 @@ struct BatchScoringConfig {
   std::size_t threads = 1;
   /// Queries per task tile; 0 = auto: a brute-scanned shard's row slabs
   /// each take the whole batch (point-major — one column pass per
-  /// register block of queries), and opaque shards (kd-tree, approx,
-  /// serve snapshots) tile the batch at ~4 tasks per worker so work
+  /// register block of queries), and opaque shards (kd-tree, serve
+  /// snapshots) tile the batch at ~4 tasks per worker so work
   /// stealing can rebalance uneven shards.
   std::size_t query_block = 0;
   /// Seed for the pool's victim-selection streams (reproducibility only —
@@ -217,7 +212,7 @@ struct BatchScoringConfig {
   /// at least max(4096, 512·ℓ) rows.  Merging changes no output byte (keys
   /// are globally distinct and each slab's top-ℓ contains every global winner
   /// inside it — fuzzed against the unsplit grid in tests/test_parity.cpp);
-  /// only the serial path and opaque shards (kd-tree, approx) stay whole
+  /// only the serial path and opaque shards (kd-trees) stay whole
   /// (column streaming / hierarchical traversal).
   std::size_t shard_split_rows = 0;
 };
@@ -233,9 +228,7 @@ struct BatchScoringConfig {
 /// shard × query block for the rest; every task writes its own pre-sized
 /// [query][shard] slots, so the output is byte-identical to the serial
 /// brute path regardless of exact policy, thread count, or schedule
-/// (fuzzed across paths in tests/test_parity.cpp).  Graph-carrying shards
-/// (ScoringPolicy::Approx) are beam-searched and exact-reranked instead —
-/// recall@ℓ semantics, see src/ann/README.md — and never range-split.
+/// (fuzzed across paths in tests/test_parity.cpp).
 ///
 /// `skip` (empty = score every machine; else one entry per machine) leaves
 /// machine m's slots empty for every query when skip[m] != 0 — an empty
@@ -254,9 +247,9 @@ struct BatchScoringConfig {
 /// result feeds run_knn_batch / run_knn unchanged; per machine the keys
 /// are byte-identical to scoring a FlatStore rebuilt from that machine's
 /// live set (fuzzed in tests/test_serve.cpp).  All snapshots with live
-/// points must share the query dimension; graph-carrying segments are
-/// beam-searched as above.  `skip` as in the ShardIndex entry; a skipped
-/// machine's snapshot may be null, every other one must not be.
+/// points must share the query dimension.  `skip` as in the ShardIndex
+/// entry; a skipped machine's snapshot may be null, every other one must
+/// not be.
 [[nodiscard]] std::vector<std::vector<std::vector<Key>>> score_serve_snapshots_batch(
     std::span<const SnapshotPtr> snapshots, std::span<const PointD> queries,
     std::uint64_t ell, MetricKind kind = MetricKind::SquaredEuclidean,

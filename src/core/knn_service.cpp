@@ -317,14 +317,6 @@ void validate_query_dims(std::size_t dim, std::span<const PointD> queries) {
   for (const PointD& query : queries) require_query_dim(dim, query.dim());
 }
 
-/// The mode-appropriate routing policy: live stores score by
-/// serve.policy (build() syncs it to policy unless live(ServeConfig)
-/// overrode it), static indexes by policy.  Only Approx builds graphs, so
-/// this is the one approx switch.
-[[nodiscard]] ScoringPolicy effective_policy(const ServiceConfig& config) {
-  return config.live ? config.serve.policy : config.policy;
-}
-
 }  // namespace
 
 std::vector<std::vector<std::vector<Key>>> KnnService::score_step(
@@ -332,32 +324,17 @@ std::vector<std::vector<std::vector<Key>>> KnnService::score_step(
     MetricKind metric, const obs::TraceSink& sink, Coverage& coverage) {
   obs::SinkScope span(sink, "shard_scoring");
   span.set_detail(snap.machine_count);
-  // Approx routing needs no flag: graph-carrying shards / segments exist
-  // only under ScoringPolicy::Approx and are always beam-searched.  Traced
-  // approximate batches get an extra ann_search span so the tier shows up
-  // in the timeline.
-  const bool approx = effective_policy(state.config) == ScoringPolicy::Approx;
-  const obs::TraceSink no_sink;
-  obs::SinkScope ann_span(approx ? sink : no_sink, "ann_search");
-  if (approx) ann_span.set_detail(queries.size());
 
   coverage = snap.coverage;
   std::vector<char> skip;
   if (state.health != nullptr) {
     // Dead / unresponsive machines are skipped (their slots stay empty, a
     // legal empty shard for every protocol) and reported in the coverage.
-    MachineProbe probe = probe_machines(*state.health);
-    // A null store slot marks a machine that was unreachable when `snap`
-    // was published, even if its probe just answered Ok (revived since):
-    // there is no data to score, so it is skipped and reported missing —
-    // silently when Retired (its data lives on survivors).
-    for (std::size_t m = 0; m < snap.stores.size(); ++m) {
-      if (snap.stores[m] == nullptr && probe.skip[m] == 0) {
-        probe.skip[m] = 1;
-        probe.coverage.missing.push_back(static_cast<std::uint32_t>(m));
-      }
-    }
-    std::sort(probe.coverage.missing.begin(), probe.coverage.missing.end());
+    // The live probe is reconciled with the liveness `snap` was published
+    // under; a null store slot marks a machine unreachable at publish.
+    std::vector<char> present(snap.stores.size());
+    for (std::size_t m = 0; m < snap.stores.size(); ++m) present[m] = snap.stores[m] != nullptr;
+    MachineProbe probe = snapshot_probe(probe_machines(*state.health), snap.coverage, present);
     skip = std::move(probe.skip);
     coverage = std::move(probe.coverage);
   }
@@ -1129,10 +1106,6 @@ KnnServiceBuilder& KnnServiceBuilder::leaf_size(std::size_t leaf_size) {
   config_.leaf_size = leaf_size;
   return *this;
 }
-KnnServiceBuilder& KnnServiceBuilder::ann(const ann::AnnConfig& ann) {
-  config_.ann = ann;
-  return *this;
-}
 KnnServiceBuilder& KnnServiceBuilder::partition(PartitionScheme scheme) {
   config_.partition = scheme;
   return *this;
@@ -1251,14 +1224,9 @@ KnnService KnnServiceBuilder::build() {
   // the same scoring structures the static ShardIndexes would — unless
   // the caller handed over explicit store knobs (live(ServeConfig) /
   // config()), which win verbatim.
-  // Graph geometry always matches the service's canonical metric — a
-  // per-call metric override still searches the built graph (recall
-  // degrades gracefully on mismatch, see src/ann/README.md).
-  state->config.ann.metric = config_.metric;
   if (!serve_explicit_) {
     state->config.serve.policy = config_.policy;
     state->config.serve.leaf_size = config_.leaf_size;
-    state->config.serve.ann = state->config.ann;
   }
 
   // Assemble shards + payload tables.
@@ -1370,7 +1338,7 @@ KnnService KnnServiceBuilder::build() {
     }
   } else {
     state->indexes = std::make_shared<const std::vector<ShardIndex>>(
-        make_shard_indexes(shards, config_.policy, config_.leaf_size, state->config.ann));
+        make_shard_indexes(shards, config_.policy, config_.leaf_size));
   }
 
   // Fault tolerance: the health registry gates scoring in both modes; the

@@ -123,18 +123,8 @@ struct ServiceConfig {
   KnnAlgo algo = KnnAlgo::DistKnn;
   /// Local scoring structure per machine (static mode) or per sealed
   /// segment (live mode, via `serve.policy` which build() syncs to this).
-  /// ScoringPolicy::Approx attaches a lazily-built k-NN graph (src/ann/)
-  /// to every large-enough shard/segment and answers every read entry
-  /// point (query, query_batch, classify, regress) by beam search + exact
-  /// rerank — recall semantics, NOT byte parity with the exact paths (see
-  /// src/ann/README.md).  It is the only approx switch.
   ScoringPolicy policy = ScoringPolicy::Auto;
   std::size_t leaf_size = KdRangeIndex::kDefaultLeafSize;
-  /// Graph knobs of the Approx policy (degree / ef / build seed...).
-  /// build() syncs `ann.metric` to `metric` so graph geometry matches the
-  /// service's canonical distance, and copies the result into
-  /// `serve.ann` unless live(ServeConfig) supplied explicit knobs.
-  ann::AnnConfig ann{};
   /// How a flat dataset() shards over the machines.
   PartitionScheme partition = PartitionScheme::RoundRobin;
   /// Seed for id assignment + partitioning of a flat dataset().
@@ -320,7 +310,7 @@ class KnnService {
   /// the global winners' labels).  Requires labels at build time (or via
   /// insert_labeled).  Scores exactly like query_batch at the service's
   /// (ℓ, metric) — result q's `run.keys` equal query_batch's keys for
-  /// query q, degraded and approximate answers included — then votes
+  /// query q, degraded answers included — then votes
   /// through classify_scored_batch.
   [[nodiscard]] ClassifyResult classify(const PointD& point,
                                         VoteRule rule = VoteRule::Majority);
@@ -465,10 +455,10 @@ class KnnService {
   /// The one scoring step of every read path: scores `queries` on every
   /// machine of `snap` (live store snapshots or static indexes) at
   /// (ℓ, metric).  A fault-tolerant service probes every machine first
-  /// (probe_machines); probed-out machines, and machines whose store
-  /// snapshot is null (dead at publish), keep empty slots.  `coverage`
-  /// receives which machines answered.  Emits the shard_scoring (and, under
-  /// ScoringPolicy::Approx, ann_search) spans into `sink`.
+  /// and reconciles the probe with the liveness published in `snap`
+  /// (snapshot_probe); skipped machines keep empty slots.  `coverage`
+  /// receives which machines answered.  Emits the shard_scoring span into
+  /// `sink`.
   static std::vector<std::vector<std::vector<Key>>> score_step(
       State& state, const Snapshot& snap, std::span<const PointD> queries, std::uint64_t ell,
       MetricKind metric, const obs::TraceSink& sink, Coverage& coverage);
@@ -509,8 +499,6 @@ class KnnServiceBuilder {
   KnnServiceBuilder& algo(KnnAlgo algo);
   KnnServiceBuilder& policy(ScoringPolicy policy);
   KnnServiceBuilder& leaf_size(std::size_t leaf_size);
-  /// Graph knobs of ScoringPolicy::Approx (see ServiceConfig::ann).
-  KnnServiceBuilder& ann(const ann::AnnConfig& ann);
   KnnServiceBuilder& partition(PartitionScheme scheme);
   KnnServiceBuilder& seed(std::uint64_t seed);
   KnnServiceBuilder& scoring(const BatchScoringConfig& scoring);

@@ -1,5 +1,6 @@
 #include "fault/health.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -254,6 +255,39 @@ MachineProbe probe_machines(MachineHealth& health) {
     }
   }
   return probe;
+}
+
+MachineProbe snapshot_probe(MachineProbe live, const Coverage& published,
+                            std::span<const char> present) {
+  const std::size_t machines = live.skip.size();
+  DKNN_REQUIRE(present.empty() || present.size() == machines,
+               "snapshot_probe: presence mask and machine count must align");
+  std::vector<char> listed_published(machines, 0);
+  for (const std::uint32_t m : published.missing) {
+    DKNN_REQUIRE(m < machines, "snapshot_probe: published missing machine out of range");
+    listed_published[m] = 1;
+  }
+  std::vector<char> listed_live(machines, 0);
+  for (const std::uint32_t m : live.coverage.missing) listed_live[m] = 1;
+
+  for (std::size_t m = 0; m < machines; ++m) {
+    const bool absent = !present.empty() && present[m] == 0;
+    if (absent && listed_published[m] == 0) {
+      // Retired at publish: its data was re-homed before the snapshot.
+      live.skip[m] = 1;
+      continue;
+    }
+    if (!absent && listed_published[m] == 0 && live.skip[m] == 0) continue;
+    if (listed_live[m] == 0) {
+      // A skipped machine the live probe did not list is Retired now, so
+      // the probe left it out of `total` too.
+      if (live.skip[m] != 0) ++live.coverage.total;
+      live.coverage.missing.push_back(static_cast<std::uint32_t>(m));
+    }
+    live.skip[m] = 1;
+  }
+  std::sort(live.coverage.missing.begin(), live.coverage.missing.end());
+  return live;
 }
 
 }  // namespace dknn

@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -218,5 +219,22 @@ class MachineHealth {
 /// and the coverage complete, so the guarded step scores exactly what the
 /// unguarded one does.
 [[nodiscard]] MachineProbe probe_machines(MachineHealth& health);
+
+/// The probe a scoring step over a published snapshot acts on: `live` (a
+/// probe_machines result taken now) reconciled with the liveness state
+/// published alongside the snapshot.  `published` is the snapshot's
+/// coverage; `present[m] == 0` marks a machine whose data the snapshot
+/// does not hold (empty span: it holds every machine's data).
+///
+/// The liveness that describes a snapshot's data is the one published
+/// with it, so a revive or a retirement after publish cannot vouch for
+/// that data.  A machine is skipped and reported in `missing` (counted in
+/// `total`) when the published coverage lists it missing, when the
+/// snapshot lacks its data, or when the live probe skips it — whatever
+/// the live probe now says.  The one exception is a machine already
+/// Retired at publish (absent, yet not listed missing): the snapshot's
+/// survivors hold its re-homed data, so it is skipped silently.
+[[nodiscard]] MachineProbe snapshot_probe(MachineProbe live, const Coverage& published,
+                                          std::span<const char> present);
 
 }  // namespace dknn

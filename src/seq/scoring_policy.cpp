@@ -7,7 +7,6 @@ const char* scoring_policy_name(ScoringPolicy policy) {
     case ScoringPolicy::Brute: return "brute";
     case ScoringPolicy::Tree: return "tree";
     case ScoringPolicy::Auto: return "auto";
-    case ScoringPolicy::Approx: return "approx";
   }
   return "unknown";
 }

@@ -20,10 +20,6 @@ enum class ScoringPolicy : std::uint8_t {
   Brute,   ///< fused SoA scan of the whole shard
   Tree,    ///< KdRangeIndex prune, fused kernel on surviving leaves
   Auto,    ///< per-shard n·d heuristic (see tree_pays_off)
-  Approx,  ///< k-NN graph beam search + exact rerank (src/ann/); recall
-           ///< semantics, NOT byte parity — see src/ann/README.md.  Shards
-           ///< below AnnConfig::min_points and delta-buffer rows still
-           ///< score exactly.
 };
 
 [[nodiscard]] const char* scoring_policy_name(ScoringPolicy policy);

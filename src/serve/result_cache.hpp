@@ -14,10 +14,10 @@
 /// bit-identical queries share an entry; distinct-but-equal encodings
 /// (-0.0 vs 0.0) simply don't, which is always sound.  The KnnService
 /// facade owns one cache per service and keys every entry the same way:
-/// the coordinate bits plus three words for the effective ℓ, metric and
-/// approx routing, so a per-call override can never collide with a
-/// canonical answer.  A caller that assembles its own serving rig with ℓ
-/// and metric fixed per cache may key on the bits alone.
+/// the coordinate bits plus two words for the effective ℓ and metric, so
+/// a per-call override can never collide with a canonical answer.  A
+/// caller that assembles its own serving rig with ℓ and metric fixed per
+/// cache may key on the bits alone.
 ///
 /// Stats convention (asserted in tests): every answer
 /// that had to run the kernels counts as a cache miss, *including* when

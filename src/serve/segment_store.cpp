@@ -6,7 +6,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "ann/graph_search.hpp"
 #include "data/validate.hpp"
 #include "obs/metrics.hpp"
 #include "seq/select.hpp"
@@ -39,9 +38,7 @@ StoreMetrics& store_metrics() {
   return m;
 }
 
-/// Seals an AoS point set into an immutable segment under `policy`
-/// (Approx segments stay flat and carry a lazily-built graph slot when
-/// large enough; config.ann supplies the graph knobs).
+/// Seals an AoS point set into an immutable segment under `policy`.
 std::shared_ptr<const SealedSegment> build_segment(std::span<const PointD> points,
                                                    std::span<const PointId> ids,
                                                    ScoringPolicy policy,
@@ -56,9 +53,6 @@ std::shared_ptr<const SealedSegment> build_segment(std::span<const PointD> point
     segment->tree = std::make_unique<KdRangeIndex>(points, ids, config.leaf_size);
   } else {
     segment->flat = FlatStore(points, ids);
-  }
-  if (policy == ScoringPolicy::Approx && n >= std::max<std::size_t>(config.ann.min_points, 2)) {
-    segment->ann = std::make_shared<ann::GraphSlot>(config.ann);
   }
   const FlatStore& store = segment->store();
   segment->row_of.reserve(store.size());
@@ -499,8 +493,7 @@ bool SegmentStore::install_compaction(const CompactionPlan& plan,
 
 /// Accumulates every live segment's local top-ℓ into per-query candidate
 /// pools and merges: min(ℓ, live) of the pooled candidates is the global
-/// answer — exact over exactly-scored segments, with per-segment recall
-/// semantics over graph-carrying ones.
+/// answer.
 void snapshot_top_ell_batch(const ServeSnapshot& snapshot, std::span<const PointD> queries,
                             std::size_t ell, MetricKind kind,
                             std::vector<std::vector<Key>>& out, KernelScratch& scratch) {
@@ -515,39 +508,21 @@ void snapshot_top_ell_batch(const ServeSnapshot& snapshot, std::span<const Point
 
   std::vector<std::vector<Key>> candidates(queries.size());
   std::vector<std::vector<Key>> segment_keys;
-  ann::AnnSearchScratch ann_scratch;
   for (const SegmentView& seg : snapshot.segments) {
     if (seg.live() == 0) continue;
-    if (seg.data->ann != nullptr) {
-      // Graph segment: seeded beam search for candidates, exact rerank for
-      // Keys.  The view's tombstones filter the results (the graph is
-      // shared across snapshots, so per-snapshot deadness lives here).
-      const ann::KnnGraph& graph = seg.data->ann->get_or_build(seg.data->store());
-      const std::size_t ef = std::max(seg.data->ann->config().ef, ell);
-      const std::uint8_t* dead = seg.dead_count == 0 ? nullptr : seg.dead->data();
-      segment_keys.resize(1);
-      for (std::size_t q = 0; q < queries.size(); ++q) {
-        ann::ann_top_ell(graph, queries[q], ell, ef, kind, dead, segment_keys[0], ann_scratch,
-                         scratch);
-        candidates[q].insert(candidates[q].end(), segment_keys[0].begin(),
-                             segment_keys[0].end());
-      }
+    // A clean segment with a kd-tree runs the hybrid; every other segment
+    // runs the batched kernel over its live row runs (all of [0, n) when
+    // clean).  Skipping dead rows is just a range decomposition, which
+    // changes no byte; compaction restores a tombstoned tree segment to
+    // the hybrid.
+    if (seg.dead_count == 0 && seg.data->tree != nullptr) {
+      hybrid_top_ell_batch(*seg.data->tree, queries, ell, kind, segment_keys, scratch);
     } else {
-      // Exact path: a clean segment with a kd-tree runs the hybrid; every
-      // other segment runs the batched kernel over its live row runs (all
-      // of [0, n) when clean).  Skipping dead rows is just a range
-      // decomposition, which changes no byte; compaction restores a
-      // tombstoned tree segment to the hybrid.
-      if (seg.dead_count == 0 && seg.data->tree != nullptr) {
-        hybrid_top_ell_batch(*seg.data->tree, queries, ell, kind, segment_keys, scratch);
-      } else {
-        fused_top_ell_ranges(seg.data->store(), *seg.live_runs, queries, ell, kind,
-                             segment_keys, scratch);
-      }
-      for (std::size_t q = 0; q < queries.size(); ++q) {
-        candidates[q].insert(candidates[q].end(), segment_keys[q].begin(),
-                             segment_keys[q].end());
-      }
+      fused_top_ell_ranges(seg.data->store(), *seg.live_runs, queries, ell, kind, segment_keys,
+                           scratch);
+    }
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      candidates[q].insert(candidates[q].end(), segment_keys[q].begin(), segment_keys[q].end());
     }
   }
   for (std::size_t q = 0; q < queries.size(); ++q) {

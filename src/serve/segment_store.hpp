@@ -47,7 +47,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "ann/knn_graph.hpp"
 #include "data/flat_store.hpp"
 #include "data/kernels.hpp"
 #include "data/key.hpp"
@@ -64,13 +63,10 @@ struct ServeConfig {
   std::size_t seal_threshold = 1024;
   /// Scoring structure built per sealed segment (the delta mirror is
   /// always a plain FlatStore — it is rebuilt too often to amortize a
-  /// tree).  Auto applies tree_pays_off per segment; Approx attaches a
-  /// lazily-built k-NN graph to segments of ≥ ann.min_points rows.
+  /// tree).  Auto applies tree_pays_off per segment.
   ScoringPolicy policy = ScoringPolicy::Auto;
   /// Leaf size of per-segment KdRangeIndexes.
   std::size_t leaf_size = KdRangeIndex::kDefaultLeafSize;
-  /// Graph knobs for ScoringPolicy::Approx segments (ignored otherwise).
-  ann::AnnConfig ann{};
 };
 
 /// One sealed segment's heavy immutable payload.  Built once (at seal or
@@ -84,13 +80,6 @@ struct SealedSegment {
   /// filling it would cost O(delta) per publish, defeating the O(d)
   /// incremental mirror).
   std::unordered_map<PointId, std::uint32_t> row_of;
-  /// Lazily-built k-NN graph (ScoringPolicy::Approx segments of ≥
-  /// AnnConfig::min_points rows only; see src/ann/README.md).  The graph
-  /// is a pure function of (store bytes, slot config), so sharing the
-  /// built instance across every snapshot referencing this segment is
-  /// sound; compaction's merged segment gets a fresh slot, which is the
-  /// rebuild-on-compaction hook.
-  std::shared_ptr<ann::GraphSlot> ann;
 
   /// The store queries scan (the tree's reordered mirror when present).
   [[nodiscard]] const FlatStore& store() const { return tree ? tree->store() : flat; }
@@ -314,15 +303,8 @@ class SegmentStore {
 /// query's global top-ℓ.  `out` is resized to queries.size(); out[q]
 /// holds min(ℓ, live) keys ascending.
 /// Byte-identical to fused_top_ell_batch over a FlatStore rebuilt from
-/// the live set (fuzzed in tests/test_serve.cpp) — unless some segment
-/// carries a k-NN graph (ScoringPolicy::Approx seals of ≥
-/// AnnConfig::min_points rows).  Such a segment is beam-searched and
-/// exact-reranked (src/ann/graph_search.hpp) while every other segment —
-/// including the delta mirror, so fresh inserts are never invisible —
-/// scores exactly.  Tombstoned rows are filtered through the view's
-/// bitmap and can never be returned.  Every returned Key is the point's
-/// exact (rank, id); only *which* points surface is approximate
-/// (recall@ℓ — see src/ann/README.md).
+/// the live set (fuzzed in tests/test_serve.cpp); tombstoned rows are
+/// skipped through the view's live runs and can never be returned.
 void snapshot_top_ell_batch(const ServeSnapshot& snapshot, std::span<const PointD> queries,
                             std::size_t ell, MetricKind kind,
                             std::vector<std::vector<Key>>& out, KernelScratch& scratch);

@@ -147,6 +147,99 @@ TEST(Health, SlowBeyondBudgetDetectedDeadThenReviveClearsMode) {
   EXPECT_TRUE(health.check_call(1).ok());
 }
 
+// --- snapshot_probe: liveness published with a snapshot outranks the live probe
+
+/// The probe a reader holding a snapshot published at `published` acts on
+/// now that `health` has moved on.
+MachineProbe probe_against(MachineHealth& health, const LivenessView& published) {
+  return snapshot_probe(probe_machines(health), published.coverage, published.alive);
+}
+
+TEST(SnapshotProbe, RetiredAfterPublishStaysMissingAndCounted) {
+  // The recovery race: a reader holds the snapshot published while machine
+  // 1 was dead (its slot null, its points not yet re-homed) and scores
+  // after the retirement.  The snapshot's survivors lack every point the
+  // victim held, so the answer must report it missing, not complete.
+  MachineHealth health(3);
+  health.kill(1);
+  const LivenessView published = health.view();
+  health.retire(1);
+
+  const MachineProbe probe = probe_against(health, published);
+  EXPECT_EQ(probe.skip, (std::vector<char>{0, 1, 0}));
+  EXPECT_EQ(probe.coverage.total, 3u);
+  EXPECT_EQ(probe.coverage.missing, (std::vector<std::uint32_t>{1}));
+  EXPECT_FALSE(probe.coverage.complete());
+}
+
+TEST(SnapshotProbe, RetiredAfterAlivePublishStaysMissing) {
+  // Published alive, then killed and retired before the reader scored:
+  // the snapshot's survivors still lack the victim's points.
+  MachineHealth health(3);
+  const LivenessView published = health.view();
+  health.kill(2);
+  health.retire(2);
+
+  const MachineProbe probe = probe_against(health, published);
+  EXPECT_EQ(probe.skip, (std::vector<char>{0, 0, 1}));
+  EXPECT_EQ(probe.coverage.total, 3u);
+  EXPECT_EQ(probe.coverage.missing, (std::vector<std::uint32_t>{2}));
+}
+
+TEST(SnapshotProbe, RevivedAfterPublishStaysMissing) {
+  // A revive cannot put data into a snapshot that was published without it.
+  MachineHealth health(3);
+  health.kill(0);
+  const LivenessView published = health.view();
+  health.revive(0);
+
+  const MachineProbe probe = probe_against(health, published);
+  EXPECT_EQ(probe.skip, (std::vector<char>{1, 0, 0}));
+  EXPECT_EQ(probe.coverage.total, 3u);
+  EXPECT_EQ(probe.coverage.missing, (std::vector<std::uint32_t>{0}));
+}
+
+TEST(SnapshotProbe, RetiredBeforePublishDropsOutSilently) {
+  // Only a snapshot published after the retirement holds the re-homed
+  // data, so only there may the machine leave coverage.
+  MachineHealth health(3);
+  health.kill(1);
+  health.retire(1);
+  const LivenessView published = health.view();
+
+  const MachineProbe probe = probe_against(health, published);
+  EXPECT_EQ(probe.skip, (std::vector<char>{0, 1, 0}));
+  EXPECT_EQ(probe.coverage.total, 2u);
+  EXPECT_TRUE(probe.coverage.complete());
+}
+
+TEST(SnapshotProbe, AgreeingStatesPassTheLiveProbeThrough) {
+  // Healthy throughout: nothing skipped, coverage complete.
+  MachineHealth health(3);
+  MachineProbe probe = probe_against(health, health.view());
+  EXPECT_EQ(probe.skip, (std::vector<char>{0, 0, 0}));
+  EXPECT_EQ(probe.coverage.total, 3u);
+  EXPECT_TRUE(probe.coverage.complete());
+
+  // Detected dead after publish: the live probe's verdict stands, once.
+  const LivenessView published = health.view();
+  health.set_failure_mode(2, FailureMode{FailureModeKind::Unresponsive, 0});
+  probe = probe_against(health, published);
+  EXPECT_EQ(probe.skip, (std::vector<char>{0, 0, 1}));
+  EXPECT_EQ(probe.coverage.total, 3u);
+  EXPECT_EQ(probe.coverage.missing, (std::vector<std::uint32_t>{2}));
+
+  // No presence mask (static indexes hold every machine's data): the
+  // published coverage alone keeps a since-revived machine missing.
+  health.kill(0);
+  const Coverage dead_at_publish = health.coverage_now();
+  health.revive(0);
+  probe = snapshot_probe(probe_machines(health), dead_at_publish, {});
+  EXPECT_EQ(probe.skip, (std::vector<char>{1, 0, 1}));
+  EXPECT_EQ(probe.coverage.total, 3u);
+  EXPECT_EQ(probe.coverage.missing, (std::vector<std::uint32_t>{0, 2}));
+}
+
 // --- guarded scoring: probe + skip mask, byte parity when healthy ------------
 
 std::vector<PointD> fault_test_points(std::size_t n, std::size_t dim, Rng& rng) {

@@ -725,9 +725,7 @@ TEST(ServiceParityFuzz, AlgoOverrideKeepsExactAnswers) {
 TEST(ServiceMlapi, ClassifyAndRegressKeysEqualQueryBatchKeys) {
   // Every read entry point shares the facade's scoring step, so the ℓ-NN
   // a vote runs over is query_batch's answer — in both modes, degraded
-  // (one machine killed) or not, and under the approx tier too (min_points
-  // low enough that every shard / sealed segment carries a graph, and a
-  // beam narrow enough that the graph answer differs from the exact one).
+  // (one machine killed) or not, through the fused scan and the kd-hybrid.
   Rng rng(43);
   const std::vector<PointD> points = uniform_points(1600, 8, 50.0, rng);
   std::vector<std::uint32_t> labels(points.size());
@@ -737,19 +735,14 @@ TEST(ServiceMlapi, ClassifyAndRegressKeysEqualQueryBatchKeys) {
     targets[i] = static_cast<double>(i) * 0.25;
   }
   const std::vector<PointD> queries = uniform_points(6, 8, 50.0, rng);
-  ann::AnnConfig ann;
-  ann.min_points = 32;
-  ann.degree = 4;
-  ann.ef = 8;
-  ann.seeds = 1;
   for (const bool live : {false, true}) {
     for (const bool fault_tolerant : {false, true}) {
-      for (const ScoringPolicy policy : {ScoringPolicy::Brute, ScoringPolicy::Approx}) {
+      for (const ScoringPolicy policy : {ScoringPolicy::Brute, ScoringPolicy::Tree}) {
         SCOPED_TRACE(std::string(live ? "live" : "static") +
                      (fault_tolerant ? " fault-tolerant " : " plain ") +
                      scoring_policy_name(policy));
         KnnServiceBuilder builder;
-        builder.machines(4).ell(7).policy(policy).ann(ann);
+        builder.machines(4).ell(7).policy(policy);
         builder.dataset(points).labels(labels).targets(targets);
         if (live) builder.live();
         if (fault_tolerant) builder.fault_tolerant();
