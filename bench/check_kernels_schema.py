@@ -23,6 +23,7 @@ import sys
 
 REQUIRED_PATHS = ("aos_per_query", "soa_materialized", "soa_fused_batch",
                   "soa_fused_batch_scalar", "soa_fused_batch_d32",
+                  "soa_fused_small_shards",
                   "soa_fused_batch_parallel", "kdtree_hybrid",
                   "facade_query_batch")
 ROW_FIELDS = ("median_ms", "ns_per_point", "queries_per_sec")

@@ -13,7 +13,8 @@
 // This binary carries its own main: with --json=PATH it first times the
 // canonical serving workload (100k points, d=8, ℓ=64, 32-query block) on
 // the AoS per-query path, the fused SoA batch path (plus one d=32 row for
-// the dynamic-dimension kernel), the work-stealing
+// the dynamic-dimension kernel and one small-shard row: 64 stores of 1,024
+// rows, one query per call), the work-stealing
 // parallel batch path (threads recorded in the workload stanza — the
 // parallel-vs-serial ratio only means something at 4+ hardware threads),
 // and the kd-tree/FlatStore hybrid, and writes the medians to PATH — the
@@ -498,6 +499,29 @@ int emit_bench_json(const std::string& path) {
     benchmark::DoNotOptimize(out);
   });
 
+  // Small-shard row: protocol_k64's scoring shape — 64 stores of 1,024
+  // d=8 rows, ℓ=64, one query per call — where each store's top-ℓ
+  // selection, not its scan, sets the cost.  ns_per_point is per
+  // point-query over all 64 stores.
+  constexpr std::size_t kSmallShards = 64;
+  constexpr std::size_t kSmallShardRows = 1024;
+  static_assert(kSmallShards * kSmallShardRows <= kPoints, "small shards slice the fixture");
+  std::vector<FlatStore> small_shards;
+  for (std::size_t s = 0; s < kSmallShards; ++s) {
+    small_shards.emplace_back(
+        std::span<const PointD>(fx.shard.points).subspan(s * kSmallShardRows, kSmallShardRows),
+        std::span<const PointId>(fx.shard.ids).subspan(s * kSmallShardRows, kSmallShardRows));
+  }
+  const PathTiming small = time_path(kRepeats, kSmallShards * kSmallShardRows, kQueries, [&] {
+    for (const PointD& query : fx.queries) {
+      for (const FlatStore& store : small_shards) {
+        fused_top_ell_batch(store, std::span<const PointD>(&query, 1), kEll,
+                            MetricKind::Euclidean, out, scratch);
+        benchmark::DoNotOptimize(out);
+      }
+    }
+  });
+
   // Parallel brute: the same fused kernels over the work-stealing pool on
   // the auto point-major grid (row slabs, each scoring the whole batch).
   // On fewer than 4 hardware threads the ratio would measure pool
@@ -557,6 +581,7 @@ int emit_bench_json(const std::string& path) {
   rows.emplace_back("soa_fused_batch", fused);
   for (const auto& row : isa_rows) rows.push_back(row);
   rows.emplace_back("soa_fused_batch_d32", fused_wide);
+  rows.emplace_back("soa_fused_small_shards", small);
   rows.emplace_back("soa_fused_batch_parallel", parallel);
   rows.emplace_back("kdtree_hybrid", hybrid);
   rows.emplace_back("facade_query_batch", facade);
@@ -602,6 +627,7 @@ int emit_bench_json(const std::string& path) {
     std::printf(", %s %.2f ms", row.first.c_str(), row.second->median_ms);
   }
   std::printf(", soa_fused_batch_d32 %.2f ms", fused_wide.median_ms);
+  std::printf(", soa_fused_small_shards %.2f ms", small.median_ms);
   if (parallel.has_value()) {
     std::printf(", parallel %.2f ms @%zu threads", parallel->median_ms, threads);
   } else {

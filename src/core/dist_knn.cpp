@@ -118,8 +118,10 @@ Task<KnnLocal> dist_knn(Ctx& ctx, std::vector<Key> local_scored, std::uint64_t e
   const bool is_leader = ctx.id() == config.leader;
 
   // Step 2: keep only the local ℓ best ("a single machine can hold at most
-  // all the ℓ-NN points").  Heap-based: O(n_i log ℓ) local work and the
-  // result is already sorted for the sampling/pruning steps below.
+  // all the ℓ-NN points").  The fused kernels already hand over at most ℓ
+  // keys, ascending, so top_ell_smallest copies them after one O(ℓ)
+  // check; any other input takes its O(n_i log ℓ) heap.  Either way the
+  // result is sorted for the sampling/pruning steps below.
   std::vector<Key> capped =
       top_ell_smallest(std::span<const Key>(local_scored), static_cast<std::size_t>(ell));
   local_scored.clear();

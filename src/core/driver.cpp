@@ -283,11 +283,11 @@ bool present(const ShardIndex&) { return true; }
 bool present(const SnapshotPtr& snapshot) { return snapshot != nullptr; }
 
 /// Smallest auto slab: kSlabRowsPerEll rows per heap entry, and never
-/// below kMinSlabRows.  Every slab pays a heap warm-up per query — about
-/// ℓ·(1 + ln(rows/ℓ)) accepts before its threshold settles, ~30 µs at
-/// ℓ = 64 — plus its share of the merge; smaller slabs spend more on that
-/// than the parallelism they add saves (measured on 100k×d8 and 400k×d32
-/// stores at 4 threads).
+/// below kMinSlabRows.  Every slab pays a fixed selection cost per query —
+/// its first tile's sample seed, ~1.5ℓ heap visits and the final sort,
+/// about 11 µs at ℓ = 64 and d = 8 on an AVX-512 box — plus its share of
+/// the merge; smaller slabs spend more on that than the parallelism they
+/// add saves (measured on 100k×d8 and 400k×d32 stores at 4 threads).
 constexpr std::size_t kSlabRowsPerEll = 512;
 constexpr std::size_t kMinSlabRows = 4096;
 

@@ -14,7 +14,8 @@ Task<SimpleKnnLocal> simple_knn(Ctx& ctx, std::vector<Key> local_scored, std::ui
   const std::uint32_t k = ctx.world();
   const bool is_leader = ctx.id() == config.leader;
 
-  // Local ℓ-NN: ℓ smallest of the local scores (heap, O(n_i log ℓ)).
+  // Local ℓ-NN: ℓ smallest of the local scores (a copy when the kernels
+  // already capped and sorted them, else a heap, O(n_i log ℓ)).
   local_scored =
       top_ell_smallest(std::span<const Key>(local_scored), static_cast<std::size_t>(ell));
 

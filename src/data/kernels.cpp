@@ -45,6 +45,102 @@ struct ColumnPointers {
   }
 };
 
+/// The k-th smallest of a[0, n) (k < n), partially reordering `a` — a
+/// quickselect whose partition passes are branch-free (the sample's order
+/// is random, so a branchy partition mispredicts about every other row).
+/// A second pass splits off the pivot's duplicates, so all-equal samples
+/// finish in one round.
+double select_kth(double* a, std::size_t n, std::size_t k) {
+  std::size_t lo = 0;
+  std::size_t hi = n;
+  while (hi - lo > 1) {
+    const double x = a[lo];
+    const double y = a[lo + (hi - lo) / 2];
+    const double z = a[hi - 1];
+    const double pivot = std::max(std::min(x, y), std::min(std::max(x, y), z));
+    std::size_t below = lo;  // [lo, below) < pivot
+    for (std::size_t i = lo; i < hi; ++i) {
+      const double v = a[i];
+      const bool smaller = v < pivot;
+      a[i] = a[below];
+      a[below] = v;
+      below += smaller ? 1 : 0;
+    }
+    if (k < below) {
+      hi = below;
+      continue;
+    }
+    std::size_t equal = below;  // [below, equal) == pivot
+    for (std::size_t i = below; i < hi; ++i) {
+      const double v = a[i];
+      const bool same = !(pivot < v);
+      a[i] = a[equal];
+      a[equal] = v;
+      equal += same ? 1 : 0;
+    }
+    if (k < equal) return pivot;
+    lo = equal;
+  }
+  return a[lo];
+}
+
+/// Sample rows per heap slot when seeding, which is also the smallest tile
+/// (in multiples of cap) worth sampling.
+constexpr std::size_t kSeedRowsPerSlot = 4;
+
+/// Seeds the rejection threshold of a heap that is still filling from the
+/// tile about to stream into it (a full heap's heap-top bound is already
+/// tighter).  Any value that at least `cap` rows of this tile score at or
+/// below is ≥ the true cap-th smallest score, so every row above it (in
+/// this tile or any other) is outside the top-ℓ and may be rejected
+/// without a heap visit.  A strided sample of kSeedRowsPerSlot·cap raw
+/// scores supplies the candidate: first a low order statistic, kept only
+/// if a counting pass finds ≥ cap rows at or below it, else the sample's
+/// cap-th smallest, which the sample's own cap smallest rows always meet.
+/// Deterministic (no randomness, no retry).  The bound enters `threshold`
+/// in heap_update's domain (reject_threshold_sq-mapped for Euclidean) and
+/// only tightens it.  Tiles of fewer than kSeedRowsPerSlot·cap rows are
+/// not sampled.
+void seed_threshold(MetricKind kind, double& threshold, const double* raw, std::size_t m,
+                    std::size_t heap_size, std::size_t cap) {
+  const std::size_t want = kSeedRowsPerSlot * cap;
+  if (heap_size == cap || m < want) return;
+  const std::size_t stride = m / want;
+  double sample[kTile];
+  for (std::size_t i = 0; i < want; ++i) sample[i] = raw[i * stride];
+  // About cap/stride sample rows fall among the tile's cap best; two
+  // standard deviations past that mean, the guess rarely undershoots.
+  const double mean = static_cast<double>(cap) / static_cast<double>(stride);
+  const auto guess = static_cast<std::size_t>(mean + 2.0 * std::sqrt(mean));
+  double bound = 0.0;
+  if (guess + 1 < cap) {
+    bound = select_kth(sample, want, guess);
+    std::size_t at_or_below = 0;
+    for (std::size_t i = 0; i < m; ++i) at_or_below += raw[i] <= bound ? 1 : 0;
+    if (at_or_below < cap) {
+      // select_kth left every value ≥ the guess at or after it.
+      bound = select_kth(sample + guess, want - guess, cap - 1 - guess);
+    }
+  } else {
+    bound = select_kth(sample, want, cap - 1);
+  }
+  if (kind == MetricKind::Euclidean) bound = simd::reject_threshold_sq(std::sqrt(bound));
+  threshold = std::min(threshold, bound);
+}
+
+/// A selected heap's entries as ascending Keys.  Every ISA's heap holds
+/// the same set (the ℓ smallest of distinct keys) in its own layout, so a
+/// plain sort lands on the same bytes; std::sort beats std::sort_heap's
+/// mispredicting sift-downs at this size.
+void emit_sorted(DistId* heap, std::size_t size, std::vector<Key>& out) {
+  std::sort(heap, heap + size);
+  out.clear();
+  out.reserve(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    out.push_back(Key{encode_distance(heap[i].first), heap[i].second});
+  }
+}
+
 void batch_impl(const KernelOps& ops, MetricKind kind, const FlatStore& store,
                 std::span<const RowRange> ranges, std::span<const PointD> queries,
                 std::size_t cap, std::vector<std::vector<Key>>& out, KernelScratch& scratch) {
@@ -57,7 +153,7 @@ void batch_impl(const KernelOps& ops, MetricKind kind, const FlatStore& store,
   const PointId* ids = store.ids().data();
   const ColumnPointers cols(store);
 
-  // Rejection thresholds, one per query (+∞ until that heap fills).
+  // Rejection thresholds, one per query (+∞ until a seed or a full heap).
   scratch.thresholds.assign(num_queries, std::numeric_limits<double>::infinity());
 
   for (const auto& [lo, hi] : ranges) {
@@ -72,9 +168,10 @@ void batch_impl(const KernelOps& ops, MetricKind kind, const FlatStore& store,
         ops.tile_scores_batch(kind, cols.get(), block, nq, d, t0, m, scratch.dist.data(), kTile);
         for (std::size_t i = 0; i < nq; ++i) {
           const std::size_t q = q0 + i;
+          const double* raw = scratch.dist.data() + i * kTile;
           HeapState heap{scratch.heaps.data() + q * cap, scratch.heap_sizes[q], cap};
-          ops.heap_update(kind, heap, scratch.thresholds[q], scratch.dist.data() + i * kTile,
-                          ids + t0, m);
+          seed_threshold(kind, scratch.thresholds[q], raw, m, heap.size, cap);
+          ops.heap_update(kind, heap, scratch.thresholds[q], raw, ids + t0, m);
           scratch.heap_sizes[q] = heap.size;
         }
       }
@@ -82,17 +179,7 @@ void batch_impl(const KernelOps& ops, MetricKind kind, const FlatStore& store,
   }
 
   for (std::size_t q = 0; q < num_queries; ++q) {
-    DistId* heap = scratch.heaps.data() + q * cap;
-    const std::size_t size = scratch.heap_sizes[q];
-    // Any ISA's heap is a valid max-heap in Key order (distinct ids make
-    // the order total), so sort_heap lands on the same ascending bytes
-    // whatever layout the push sequence produced.
-    std::sort_heap(heap, heap + size);
-    out[q].clear();
-    out[q].reserve(size);
-    for (std::size_t i = 0; i < size; ++i) {
-      out[q].push_back(Key{encode_distance(heap[i].first), heap[i].second});
-    }
+    emit_sorted(scratch.heaps.data() + q * cap, scratch.heap_sizes[q], out[q]);
   }
 }
 
@@ -217,21 +304,17 @@ void RangeTopEll::score_range(std::size_t lo, std::size_t hi) {
   HeapState heap{scratch_.heaps.data(), heap_size_, cap_};
   for (std::size_t t0 = lo; t0 < hi; t0 += kTile) {
     const std::size_t m = std::min(kTile, hi - t0);
+    const double* raw = scratch_.dist.data();
     ops_->tile_scores(kind_, scratch_.cols.data(), query_.coords.data(), store_.dim(), t0, m,
                       scratch_.dist.data());
-    ops_->heap_update(kind_, heap, threshold_, scratch_.dist.data(), ids + t0, m);
+    seed_threshold(kind_, threshold_, raw, m, heap.size, cap_);
+    ops_->heap_update(kind_, heap, threshold_, raw, ids + t0, m);
   }
   heap_size_ = heap.size;
 }
 
 void RangeTopEll::finish(std::vector<Key>& out) {
-  DistId* heap = scratch_.heaps.data();
-  std::sort_heap(heap, heap + heap_size_);
-  out.clear();
-  out.reserve(heap_size_);
-  for (std::size_t i = 0; i < heap_size_; ++i) {
-    out.push_back(Key{encode_distance(heap[i].first), heap[i].second});
-  }
+  emit_sorted(scratch_.heaps.data(), heap_size_, out);
 }
 
 std::vector<Key> fused_top_ell(const FlatStore& store, const PointD& query, std::size_t ell,

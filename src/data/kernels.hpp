@@ -15,6 +15,15 @@
 ///     `KernelScratch`, the per-query hot path is allocation-free after
 ///     warm-up.
 ///
+/// Selection contract: each heap has a rejection threshold in the raw-score
+/// domain, and a row above it never reaches the heap.  The threshold is +∞
+/// or finite on entry to every tile: before a filling heap meets a tile of
+/// ≥ 4·min(ℓ, n) rows, the tile's strided sample seeds a bound that at
+/// least min(ℓ, n) of its rows meet, so it is ≥ the true ℓ-th smallest and
+/// rejects only non-answers.  From then on it is monotone: min(seed,
+/// heap-top bound).  Per-store selection thus costs about the scan plus
+/// ~1.5ℓ heap visits, not the ℓ·(1 + ln(n/ℓ)) of an unseeded warm-up.
+///
 /// Parity contract (tested in tests/test_kernels.cpp): for every MetricKind
 /// the fused kernels return *byte-identical* Key sets to the per-query AoS
 /// path under the corresponding metric functor.  Distances are accumulated
@@ -112,7 +121,8 @@ class RangeTopEll {
   /// Conservative rejection threshold in the kernel's raw-score domain
   /// (squared sums for the Euclidean family, direct values for L1/L∞): a
   /// point or subtree whose raw score provably exceeds this cannot enter
-  /// the heap and may be skipped.  +∞ until the heap holds ℓ entries.
+  /// the heap and may be skipped.  +∞ until a range tile of ≥ 4·min(ℓ, n)
+  /// rows seeds it or the heap holds ℓ entries; it only tightens after.
   [[nodiscard]] double threshold() const { return threshold_; }
 
   /// Sorts the selected keys ascending into `out`; the instance must not be

@@ -79,9 +79,13 @@ struct KernelOps {
                             const double* const* queries, std::size_t nq, std::size_t d,
                             std::size_t t0, std::size_t m, double* dist, std::size_t stride);
 
-  /// Streams one scored tile into the bounded heap, updating `threshold`
-  /// (the raw-domain rejection bound: +∞ until the heap fills, then
-  /// heap-top-derived).  For Euclidean, sqrt is applied only to candidates
+  /// Streams one scored tile into the bounded heap, updating `threshold`,
+  /// the raw-domain rejection bound.  On entry it is +∞ or finite, and a
+  /// finite value is one every top-ℓ row meets (a sample seed from
+  /// data/kernels.cpp, or an earlier heap-top bound): every row above it
+  /// is rejected, whether or not the heap is full.  It only tightens:
+  /// once the heap holds `cap` entries it becomes min(threshold,
+  /// heap-top bound).  For Euclidean, sqrt is applied only to candidates
   /// that survive the threshold prefilter; selection compares exact sqrt
   /// values, so parity with the AoS path is bit-exact.  `raw` obeys the
   /// kTilePad contract; `ids[0..m)` are the tile's point ids.

@@ -122,31 +122,34 @@ struct BoundedHeap {
 /// Streams one scored tile into the heap.  For Euclidean, `raw` holds
 /// squared sums and sqrt is applied only to candidates that survive the
 /// threshold prefilter (O(ℓ log n) of them, not n); selection operates on
-/// the exact sqrt values, so parity with the AoS path is bit-exact.
+/// the exact sqrt values, so parity with the AoS path is bit-exact.  Rows
+/// above the threshold are rejected even while the heap fills (a finite
+/// threshold there is a seed every top-ℓ row meets), and a heap-top bound
+/// only ever tightens it.
 template <MetricKind K>
 void heap_update_k(HeapState& state, double& threshold, const double* raw,
                    const std::uint64_t* ids, std::size_t m) {
   BoundedHeap heap{state};
   for (std::size_t i = 0; i < m; ++i) {
     const double s = raw[i];
-    if (heap.full() && s > threshold) continue;  // common case: one compare
+    if (s > threshold) continue;  // common case: one compare
     if constexpr (K == MetricKind::Euclidean) {
       const DistId cand{std::sqrt(s), ids[i]};
       if (!heap.full()) {
         heap.push(cand);
-        if (heap.full()) threshold = reject_threshold_sq(heap.top().first);
+        if (heap.full()) threshold = std::min(threshold, reject_threshold_sq(heap.top().first));
       } else if (cand < heap.top()) {
         heap.replace_top(cand);
-        threshold = reject_threshold_sq(heap.top().first);
+        threshold = std::min(threshold, reject_threshold_sq(heap.top().first));
       }
     } else {
       const DistId cand{s, ids[i]};
       if (!heap.full()) {
         heap.push(cand);
-        if (heap.full()) threshold = heap.top().first;
+        if (heap.full()) threshold = std::min(threshold, heap.top().first);
       } else if (cand < heap.top()) {
         heap.replace_top(cand);
-        threshold = heap.top().first;
+        threshold = std::min(threshold, heap.top().first);
       }
     }
   }

@@ -129,9 +129,14 @@ template <typename T>
 /// The `ell` smallest elements in ascending order (ell == 0 gives empty).
 /// Bounded max-heap: O(n log ell) time, O(ell) space — this is each
 /// machine's local pruning step in Algorithm 2 and the simple baseline.
+/// Input that already is the answer (at most `ell` items, ascending: the
+/// fused kernels' per-machine lists) is copied after one O(n) check.
 template <typename T>
 [[nodiscard]] std::vector<T> top_ell_smallest(std::span<const T> items, std::size_t ell) {
   if (ell == 0) return {};
+  if (items.size() <= ell && std::is_sorted(items.begin(), items.end())) {
+    return std::vector<T>(items.begin(), items.end());
+  }
   std::vector<T> heap;  // max-heap of the current ell smallest
   heap.reserve(std::min(ell, items.size()));
   for (const T& item : items) {

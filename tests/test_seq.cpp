@@ -107,6 +107,41 @@ TEST(TopEll, ReturnsAscending) {
   EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
 }
 
+TEST(TopEll, SortedShortInputTakesTheCopyAndMatchesTheHeap) {
+  // Sorted, unsorted and duplicate inputs, at size < ℓ, size == ℓ and
+  // size > ℓ: the result equals the sort prefix, and an already-sorted
+  // input of at most ℓ items (the copy path) equals the heap path's answer
+  // on the same items in reverse order.
+  Rng rng(12);
+  for (const std::size_t n : {1u, 2u, 9u, 64u}) {
+    auto values = uniform_u64(n, rng, 0, 5);  // heavy duplication
+    for (std::size_t i = 0; i + 1 < n; i += 3) values[i + 1] = values[i];
+    auto sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    const std::vector<std::uint64_t> reversed(sorted.rbegin(), sorted.rend());
+    for (const std::size_t ell : {n - 1, n, n + 5}) {
+      if (ell == 0) continue;
+      const std::vector<std::uint64_t> want(
+          sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(std::min(ell, n)));
+      EXPECT_EQ(top_ell_smallest(std::span<const std::uint64_t>(sorted), ell), want)
+          << "sorted n=" << n << " ell=" << ell;
+      EXPECT_EQ(top_ell_smallest(std::span<const std::uint64_t>(values), ell), want)
+          << "unsorted n=" << n << " ell=" << ell;
+      EXPECT_EQ(top_ell_smallest(std::span<const std::uint64_t>(reversed), ell), want)
+          << "reversed n=" << n << " ell=" << ell;
+    }
+  }
+  // Keys as the kernels emit them: distinct, ascending, at most ℓ.
+  std::vector<Key> keys;
+  for (std::uint64_t i = 0; i < 64; ++i) keys.push_back(Key{i / 4, 1000 - i});
+  std::sort(keys.begin(), keys.end());
+  const std::vector<Key> reversed(keys.rbegin(), keys.rend());
+  for (const std::size_t ell : {std::size_t{64}, std::size_t{65}}) {
+    EXPECT_EQ(top_ell_smallest(std::span<const Key>(keys), ell), keys);
+    EXPECT_EQ(top_ell_smallest(std::span<const Key>(reversed), ell), keys);
+  }
+}
+
 // --- brute force ℓ-NN ----------------------------------------------------------------
 
 TEST(Brute, ScalarMatchesManualScan) {

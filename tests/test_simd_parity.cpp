@@ -20,16 +20,24 @@
 // driver path.  Failures log
 // the trial seed via SCOPED_TRACE for a one-line repro.
 //
+// The SelectorParity suite aims at the sample-seeded rejection bound: tied
+// and duplicated rows, Euclidean raw neighbours sharing one sqrt, sorted
+// rows, tiles at the seeding size edge, multi-tile / multi-range calls, and
+// a tile built so the low-rank guess fails into its fallback.
+//
 // ISAs the running CPU lacks are skipped (and logged) — the scalar row is
 // always present, so the suite never passes vacuously.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/driver.hpp"
@@ -351,6 +359,253 @@ TEST(SimdParity, MultiQueryBlocksMatchPerQueryReference) {
           }
         }
       }
+    }
+  }
+}
+
+// --- the sample-seeded selector ----------------------------------------------
+
+/// The selector's oracle: every row materialized by score_store, restricted
+/// to `ranges`, then the ℓ smallest.  No fused kernel and no seed touch it.
+std::vector<Key> materialized_top_ell(const FlatStore& store, const PointD& query,
+                                      std::size_t ell, MetricKind kind,
+                                      std::span<const RowRange> ranges) {
+  std::vector<Key> all;
+  score_store(store, query, kind, all);
+  std::vector<Key> picked;
+  for (const auto& [lo, hi] : ranges) {
+    picked.insert(picked.end(), all.begin() + static_cast<std::ptrdiff_t>(lo),
+                  all.begin() + static_cast<std::ptrdiff_t>(hi));
+  }
+  return top_ell_smallest(std::span<const Key>(picked), ell);
+}
+
+/// Ways to cut [0, n) into ranges: whole, one ragged split, tile-straddling
+/// pieces (multi-tile when n > 1024), and a sparse subset that skips rows.
+std::vector<std::vector<RowRange>> decompositions(std::size_t n) {
+  std::vector<std::vector<RowRange>> out;
+  out.push_back({{0, n}});
+  out.push_back({{0, n / 3}, {n / 3, n}});
+  std::vector<RowRange> pieces;
+  for (std::size_t lo = 0; lo < n; lo += 700) pieces.emplace_back(lo, std::min(n, lo + 700));
+  std::reverse(pieces.begin(), pieces.end());
+  out.push_back(pieces);
+  out.push_back({{n / 8, n / 2}, {n / 2 + 3 < n ? n / 2 + 3 : n, n}});
+  return out;
+}
+
+/// Every supported ISA's selector, through every entry (the fused batch
+/// over several queries at once, fused_top_ell_ranges over each
+/// decomposition, RangeTopEll over random cuts), against the oracle.
+void check_selector(const VectorShard& shard, std::span<const PointD> queries,
+                    std::size_t ell, MetricKind kind, const std::string& label) {
+  const FlatStore store(shard.points, shard.ids);
+  const std::size_t n = store.size();
+  const auto cuts = decompositions(n);
+  std::vector<std::vector<std::vector<Key>>> expected(cuts.size());
+  {
+    ForcedIsa pin(simd::Isa::Scalar);
+    for (std::size_t c = 0; c < cuts.size(); ++c) {
+      for (const PointD& query : queries) {
+        expected[c].push_back(materialized_top_ell(store, query, ell, kind, cuts[c]));
+      }
+    }
+  }
+  for (const simd::Isa isa : supported_isas()) {
+    std::ostringstream trace;
+    trace << label << " isa=" << simd::isa_name(isa) << " n=" << n << " ell=" << ell
+          << " metric=" << metric_kind_name(kind);
+    SCOPED_TRACE(trace.str());
+    ForcedIsa pin(isa);
+    KernelScratch scratch;
+    std::vector<std::vector<Key>> got;
+    fused_top_ell_batch(store, queries, ell, kind, got, scratch);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      expect_same_keys(expected[0][q], got[q], "batch");
+    }
+    for (std::size_t c = 0; c < cuts.size(); ++c) {
+      fused_top_ell_ranges(store, cuts[c], queries, ell, kind, got, scratch);
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        expect_same_keys(expected[c][q], got[q], "ranges cut " + std::to_string(c));
+      }
+    }
+    Rng rng(n * 31 + ell);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      RangeTopEll scorer(store, queries[q], ell, kind, scratch);
+      for (std::size_t lo = 0; lo < n;) {
+        const std::size_t hi = lo + 1 + rng.below(std::min<std::size_t>(n - lo, 1500));
+        scorer.score_range(lo, hi);
+        lo = hi;
+      }
+      std::vector<Key> keys;
+      scorer.finish(keys);
+      expect_same_keys(expected[0][q], keys, "RangeTopEll");
+    }
+  }
+}
+
+/// d=1 rows at the given coordinates, ids descending so id tie-breaks run
+/// against row order; queried at 0.
+VectorShard line_shard(const std::vector<double>& xs) {
+  VectorShard shard;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    shard.points.push_back(PointD(std::vector<double>{xs[i]}));
+    shard.ids.push_back(10 * (xs.size() - i));
+  }
+  return shard;
+}
+
+TEST(SelectorParity, AllEqualDistancesAndDuplicatedPoints) {
+  // One point repeated: every row ties and only ids order the keys (the
+  // seed's sample is constant, so the bound admits every row).  Then a
+  // d=8 cloud where each point appears three times under fresh ids.
+  const std::vector<PointD> origin = {PointD(std::vector<double>(8, 0.0))};
+  Rng rng(0xE0A1ULL);
+  VectorShard same;
+  VectorShard triples;
+  for (std::size_t i = 0; i < 1500; ++i) {
+    same.points.push_back(PointD(std::vector<double>(8, 3.0)));
+    same.ids.push_back(7 + 13 * ((i * 611) % 1500));
+  }
+  for (std::size_t i = 0; i < 600; ++i) {
+    const PointD point = random_point(8, CoordMode::Continuous, rng);
+    for (std::size_t copy = 0; copy < 3; ++copy) {
+      triples.points.push_back(point);
+      triples.ids.push_back(1 + 3 * i + (2 - copy) * 5000);
+    }
+  }
+  const std::vector<PointD> queries = {random_point(8, CoordMode::Continuous, rng),
+                                       random_point(8, CoordMode::Continuous, rng)};
+  for (const MetricKind kind : kAllKinds) {
+    for (const std::size_t ell : {1, 7, 64, 300}) {
+      check_selector(same, origin, ell, kind, "all-equal");
+      check_selector(triples, queries, ell, kind, "triplicated");
+    }
+  }
+}
+
+TEST(SelectorParity, EuclideanRawNeighboursSharingOneSqrt) {
+  // Pairs of rows whose squared sums are adjacent doubles r < next(r) with
+  // one correctly rounded sqrt: both keys carry the same distance, so a
+  // bound applied to raw scores instead of through reject_threshold_sq
+  // would drop the larger-raw, smaller-id partner.  Every row belongs to
+  // such a pair, so whichever row the seed lands on has one.  Rows are
+  // (1, b) queried at the origin: raw = 1 + b·b, the kernel's exact
+  // operation sequence, and stepping b by one ulp moves raw by at most one.
+  VectorShard shard;
+  Rng rng(0x5017ULL);
+  for (std::size_t attempt = 0; attempt < 20000 && shard.points.size() < 2 * 1200; ++attempt) {
+    const double b = 0.25 + 0.5 * rng.uniform01();
+    const double r = 1.0 + b * b;
+    double b_next = b;
+    for (std::size_t step = 0; step < 64 && 1.0 + b_next * b_next == r; ++step) {
+      b_next = std::nextafter(b_next, 1.0);
+    }
+    const double r_next = 1.0 + b_next * b_next;
+    if (r_next != std::nextafter(r, 4.0) || std::sqrt(r) != std::sqrt(r_next)) continue;
+    const std::uint64_t id = 1000 + 4 * shard.points.size();
+    shard.points.push_back(PointD(std::vector<double>{1.0, b}));
+    shard.ids.push_back(id + 2);
+    shard.points.push_back(PointD(std::vector<double>{1.0, b_next}));
+    shard.ids.push_back(id);  // larger raw, smaller id: first in Key order
+  }
+  ASSERT_EQ(shard.points.size(), 2u * 1200);
+  const std::vector<PointD> origin = {PointD(std::vector<double>{0.0, 0.0})};
+  for (const std::size_t ell : {1, 2, 3, 16, 63, 64, 65, 255}) {
+    check_selector(shard, origin, ell, MetricKind::Euclidean, "sqrt-pairs");
+  }
+  // One tile of 4·ℓ rows samples every row, so the seed is exactly the
+  // ℓ-th smallest raw score; with ℓ odd that is the smaller-raw member of
+  // a pair, and the answer holds its partner instead.
+  for (const std::size_t ell : {1, 3, 7, 31, 63, 127, 255}) {
+    VectorShard head;
+    head.points.assign(shard.points.begin(),
+                       shard.points.begin() + static_cast<std::ptrdiff_t>(4 * ell));
+    head.ids.assign(shard.ids.begin(), shard.ids.begin() + static_cast<std::ptrdiff_t>(4 * ell));
+    check_selector(head, origin, ell, MetricKind::Euclidean, "sqrt-pairs, one tile");
+  }
+}
+
+TEST(SelectorParity, AscendingAndDescendingRows) {
+  // Sorted rows make the strided sample its most skewed: ascending puts
+  // every answer at the front of the tile, descending at the back.
+  const std::vector<PointD> origin = {PointD(std::vector<double>{0.0})};
+  for (const std::size_t n : {1024, 2085}) {
+    std::vector<double> up(n);
+    for (std::size_t i = 0; i < n; ++i) up[i] = 0.5 * static_cast<double>(i);
+    std::vector<double> down(up.rbegin(), up.rend());
+    for (const MetricKind kind : kAllKinds) {
+      for (const std::size_t ell : {1, 16, 64, 255}) {
+        check_selector(line_shard(up), origin, ell, kind, "ascending");
+        check_selector(line_shard(down), origin, ell, kind, "descending");
+      }
+    }
+  }
+}
+
+TEST(SelectorParity, TilesAroundTheSeedingSizeAndEllAtLeastRows) {
+  // A tile seeds only with ≥ 4·cap rows: sizes just below, at and above
+  // that edge, and ℓ ≥ n (cap = n: never seeded).
+  Rng rng(0x4CA9ULL);
+  for (const std::size_t cap : {1, 5, 64, 200}) {
+    for (const std::size_t n : {4 * cap - 1, 4 * cap, 4 * cap + 1}) {
+      if (n == 0) continue;
+      VectorShard shard;
+      for (std::size_t i = 0; i < n; ++i) {
+        shard.points.push_back(random_point(8, CoordMode::Continuous, rng));
+        shard.ids.push_back(1 + 2 * i);
+      }
+      const std::vector<PointD> queries = {random_point(8, CoordMode::Continuous, rng),
+                                           random_point(8, CoordMode::Continuous, rng),
+                                           random_point(8, CoordMode::Continuous, rng)};
+      for (const MetricKind kind : kAllKinds) {
+        check_selector(shard, queries, cap, kind, "seed edge");
+        check_selector(shard, queries, n, kind, "ell == n");
+        check_selector(shard, queries, n + 3, kind, "ell > n");
+      }
+    }
+  }
+}
+
+TEST(SelectorParity, MultiTileRandomClouds) {
+  // Several tiles per store and grid ties, across a batch of queries (the
+  // register-blocked entry feeds each query's seed its own tile row).
+  Rng rng(0x7115ULL);
+  for (const std::size_t n : {1025, 3000}) {
+    for (const CoordMode mode : {CoordMode::Continuous, CoordMode::Grid}) {
+      VectorShard shard;
+      for (std::size_t i = 0; i < n; ++i) {
+        shard.points.push_back(random_point(5, mode, rng));
+        shard.ids.push_back(3 + 4 * ((i * 7919) % n));
+      }
+      std::vector<PointD> queries;
+      for (std::size_t q = 0; q < 11; ++q) queries.push_back(random_point(5, mode, rng));
+      for (const MetricKind kind : kAllKinds) {
+        for (const std::size_t ell : {1, 10, 64, 256}) {
+          check_selector(shard, queries, ell, kind, "multi-tile");
+        }
+      }
+    }
+  }
+}
+
+TEST(SelectorParity, LowRankGuessFailsIntoTheFallback) {
+  // The seed samples rows 0, s, 2s, … with s = n / (4·cap) and first tries
+  // a low order statistic of that sample.  Here the sampled rows are the
+  // nearest ones and every other row is far, so fewer than cap rows score
+  // at or below the guess and the bound must fall back to the sample's
+  // cap-th smallest — which is exactly the answer's last key.
+  const std::vector<PointD> origin = {PointD(std::vector<double>{0.0})};
+  constexpr std::size_t n = 1024;
+  for (const std::size_t cap : {16, 64}) {
+    const std::size_t stride = n / (4 * cap);
+    std::vector<double> xs(n);
+    for (std::size_t row = 0; row < n; ++row) {
+      const bool sampled = row % stride == 0 && row / stride < 4 * cap;
+      xs[row] = sampled ? static_cast<double>(row / stride) : 5000.0 + static_cast<double>(row);
+    }
+    for (const MetricKind kind : kAllKinds) {
+      check_selector(line_shard(xs), origin, cap, kind, "guess fails");
     }
   }
 }
