@@ -311,33 +311,6 @@ void BM_HybridTopEllBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_HybridTopEllBatch)->Args({1 << 16, 8, 64, 32})->Args({1 << 16, 3, 64, 32});
 
-void BM_KdTreeBuild(benchmark::State& state) {
-  Rng rng(3);
-  const auto points = uniform_points(static_cast<std::size_t>(state.range(0)), 3, 100.0, rng);
-  const auto ids = assign_random_ids(points.size(), rng);
-  for (auto _ : state) {
-    KdTree tree(points, ids);
-    benchmark::DoNotOptimize(tree);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_KdTreeBuild)->Arg(1 << 12)->Arg(1 << 16);
-
-void BM_KdTreeQuery(benchmark::State& state) {
-  Rng rng(4);
-  const auto points = uniform_points(static_cast<std::size_t>(state.range(0)), 3, 100.0, rng);
-  const auto ids = assign_random_ids(points.size(), rng);
-  const KdTree tree(points, ids);
-  const auto queries = uniform_points(64, 3, 100.0, rng);
-  const auto ell = static_cast<std::size_t>(state.range(1));
-  std::size_t q = 0;
-  for (auto _ : state) {
-    auto out = tree.knn(queries[q++ % queries.size()], ell);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_KdTreeQuery)->Args({1 << 16, 8})->Args({1 << 16, 256});
-
 void BM_BruteForceQuery(benchmark::State& state) {
   Rng rng(5);
   const auto points = uniform_points(static_cast<std::size_t>(state.range(0)), 3, 100.0, rng);
@@ -400,11 +373,14 @@ struct PathTiming {
   double queries_per_sec = 0.0;
 };
 
-/// Runs `body` (which processes the whole query block once) `repeats`
-/// times and derives per-point / per-query figures from the median.
+/// Runs `body` (which processes the whole query block once) once untimed
+/// — so no row pays first-touch page faults, scratch growth or a cold
+/// cache for the rows before it — then `repeats` timed times, and derives
+/// per-point / per-query figures from the median.
 template <typename Body>
 PathTiming time_path(std::size_t repeats, std::size_t points, std::size_t num_queries,
                      Body&& body) {
+  body();
   std::vector<double> ms;
   ms.reserve(repeats);
   for (std::size_t r = 0; r < repeats; ++r) {
@@ -465,18 +441,16 @@ int emit_bench_json(const std::string& path) {
 
   KernelScratch scratch;
   std::vector<std::vector<Key>> out;
-  // Dispatched fused row: whatever ISA the runtime CPUID dispatch picked.
-  const PathTiming fused = time_path(kRepeats, kPoints, kQueries, [&] {
-    fused_top_ell_batch(fx.store, fx.queries, kEll, MetricKind::Euclidean, out, scratch);
-    benchmark::DoNotOptimize(out);
-  });
-
   // Per-ISA rows: the same fused kernel pinned to each supported level.
   // The scalar row IS the PR 1 auto-vectorized kernel (relocated behind
   // the dispatch table) — the dispatched row is expected to beat it on
-  // AVX2-capable hardware.
+  // AVX2-capable hardware.  The dispatched row is the pinned row of the
+  // ISA the runtime CPUID dispatch picked, not a second measurement of
+  // the same kernel.
+  const simd::Isa dispatched = simd::active_isa();
   std::vector<PathRow> isa_rows;
   std::optional<double> scalar_forced_ms;
+  PathTiming fused;
   for (std::size_t level = 0; level < simd::kIsaCount; ++level) {
     const auto isa = static_cast<simd::Isa>(level);
     if (!simd::isa_supported(isa)) continue;
@@ -486,6 +460,7 @@ int emit_bench_json(const std::string& path) {
       benchmark::DoNotOptimize(out);
     });
     if (isa == simd::Isa::Scalar) scalar_forced_ms = timing.median_ms;
+    if (isa == dispatched) fused = timing;
     isa_rows.emplace_back(std::string("soa_fused_batch_") + simd::isa_name(isa), timing);
   }
 

@@ -128,7 +128,8 @@ KnnService build_service(std::vector<PointD> points, std::size_t ell, std::uint6
   return KnnServiceBuilder()
       .machines(kMachines)
       .ell(ell)
-      .live(ServeConfig{.policy = ScoringPolicy::Auto})
+      .policy(ScoringPolicy::Auto)
+      .live()
       .cache_capacity(cache ? 4096 : 0)
       .scoring(BatchScoringConfig{.threads = 1})
       .seed(seed)

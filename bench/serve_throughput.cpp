@@ -104,7 +104,9 @@ struct FacadeRig {
         KnnServiceBuilder()
             .machines(1)
             .ell(w.ell)
-            .live(ServeConfig{.seal_threshold = 256, .policy = ScoringPolicy::Auto})
+            .policy(ScoringPolicy::Auto)
+            .live()
+            .seal_threshold(256)
             .compaction(CompactionConfig{.max_dead_fraction = 0.2, .min_segment_points = 1024})
             .cache_capacity(4096)
             .scoring(BatchScoringConfig{.threads = 1})
@@ -236,7 +238,9 @@ LatencyStats run_degraded(const Workload& w, double* coverage) {
       KnnServiceBuilder()
           .machines(kMachines)
           .ell(w.ell)
-          .live(ServeConfig{.seal_threshold = 256, .policy = ScoringPolicy::Auto})
+          .policy(ScoringPolicy::Auto)
+          .live()
+          .seal_threshold(256)
           .cache_capacity(4096)
           .scoring(BatchScoringConfig{.threads = 1})
           .fault_tolerant()

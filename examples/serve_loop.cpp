@@ -75,7 +75,8 @@ int main(int argc, char** argv) {
   dknn::KnnServiceBuilder builder;
   builder.machines(stores)
       .ell(ell)
-      .live(dknn::ServeConfig{.seal_threshold = 2048})
+      .live()
+      .seal_threshold(2048)
       .policy(dknn::ScoringPolicy::Auto)
       .compaction(dknn::CompactionConfig{.max_dead_fraction = 0.2,
                                          .min_segment_points = 1024})

@@ -208,22 +208,10 @@ std::vector<std::vector<Key>> quantize_scored_shards(std::vector<std::vector<Key
 
 std::vector<ShardIndex> make_shard_indexes(const std::vector<VectorShard>& shards,
                                            ScoringPolicy policy, std::size_t leaf_size) {
-  std::vector<ShardIndex> indexes(shards.size());
-  for (std::size_t m = 0; m < shards.size(); ++m) {
-    const auto& shard = shards[m];
-    DKNN_REQUIRE(shard.points.size() == shard.ids.size(), "shard points/ids must align");
-    const bool eligible = !shard.points.empty() && shard.points[0].dim() >= 1;
-    const bool tree =
-        eligible && (policy == ScoringPolicy::Tree ||
-                     (policy == ScoringPolicy::Auto &&
-                      tree_pays_off(shard.points.size(), shard.points[0].dim())));
-    if (tree) {
-      indexes[m].tree = std::make_unique<KdRangeIndex>(
-          std::span<const PointD>(shard.points), std::span<const PointId>(shard.ids), leaf_size);
-    } else {
-      indexes[m].flat =
-          FlatStore(std::span<const PointD>(shard.points), std::span<const PointId>(shard.ids));
-    }
+  std::vector<ShardIndex> indexes;
+  indexes.reserve(shards.size());
+  for (const VectorShard& shard : shards) {
+    indexes.push_back(build_shard_index(shard.points, shard.ids, policy, leaf_size));
   }
   return indexes;
 }
@@ -244,17 +232,13 @@ void reset_tree_stats(const std::vector<ShardIndex>& indexes) {
 
 namespace {
 
-/// One (shard, query block) tile through the shard's policy path: the
-/// kd-hybrid for a tree shard, the fused scan otherwise.
+/// One (shard, query block) tile through the local index dispatch over
+/// the shard's every row.
 void score_tile(const ShardIndex& index, std::span<const PointD> queries, std::uint64_t ell,
                 MetricKind kind, std::vector<std::vector<Key>>& keys, KernelScratch& scratch) {
-  if (index.has_tree()) {
-    hybrid_top_ell_batch(*index.tree, queries, static_cast<std::size_t>(ell), kind, keys,
-                         scratch);
-    return;
-  }
-  fused_top_ell_batch(index.store(), queries, static_cast<std::size_t>(ell), kind, keys,
-                      scratch);
+  const RowRange all{0, index.store().size()};
+  shard_top_ell_batch(index, std::span<const RowRange>(&all, 1), queries,
+                      static_cast<std::size_t>(ell), kind, keys, scratch);
 }
 
 /// A live machine's tile: every live segment of its snapshot (delta

@@ -16,14 +16,16 @@
 ///   auto result = run_knn(scored, ell, KnnAlgo::DistKnn, engine_config, {});
 ///
 /// Batched serving path (many queries against one resident dataset) —
-/// build each shard's scoring structures once (SoA FlatStore, plus a
-/// kd-tree when the ScoringPolicy picks the hybrid), score the whole query
-/// block with the fused kernels (per query and shard only the local top-ℓ
+/// build each shard's ShardIndex once (SoA FlatStore, plus a kd-tree when
+/// the ScoringPolicy picks the hybrid), score the whole query block with
+/// the fused kernels (per query and shard only the local top-ℓ
 /// keys are ever materialized), and run every query through one engine so
 /// setup cost amortizes.  The scoring step has exactly two batch entries,
 /// one per kind of resident machine — `score_vector_shards_batch` over
 /// frozen ShardIndexes and `score_serve_snapshots_batch` over live
-/// SegmentStore snapshots — and both run one per-machine scorer:
+/// SegmentStore snapshots.  Both run one per-machine scorer, and every
+/// static shard and sealed segment goes through one local dispatch,
+/// shard_top_ell_batch (seq/scoring_policy.hpp):
 ///
 ///   auto shards  = make_vector_shards(points, k, PartitionScheme::RoundRobin, rng);
 ///   auto indexes = make_shard_indexes(shards, ScoringPolicy::Auto);   // once
@@ -56,8 +58,7 @@
 #include "data/metric.hpp"
 #include "data/partition.hpp"
 #include "data/point.hpp"
-#include "seq/kdtree.hpp"
-#include "seq/scoring_policy.hpp"  // IWYU pragma: export — ScoringPolicy lived here
+#include "seq/scoring_policy.hpp"  // IWYU pragma: export — ShardIndex and ScoringPolicy lived here
 #include "serve/segment_store.hpp"
 #include "sim/engine.hpp"
 #include "sim/thread_pool.hpp"
@@ -157,20 +158,10 @@ template <MetricFor M>
   return score_vector_shards(shards, query, SquaredEuclidean{});
 }
 
-/// One shard's resident scoring structures: always an SoA store, plus the
-/// kd-tree when the policy selected the hybrid path for this shard.
-struct ShardIndex {
-  FlatStore flat;                      ///< engaged iff tree == nullptr
-  std::unique_ptr<KdRangeIndex> tree;  ///< engaged iff the tree path won
-
-  [[nodiscard]] bool has_tree() const { return tree != nullptr; }
-  /// The store brute scans: the tree's reordered mirror when present.
-  [[nodiscard]] const FlatStore& store() const { return tree ? tree->store() : flat; }
-};
-
-/// Builds each shard's scoring structures once per resident dataset
-/// (one SoA copy per shard; after that, batched scoring never touches
-/// PointD).  ScoringPolicy::Brute gives plain SoA shards.
+/// Builds each shard's ShardIndex (seq/scoring_policy.hpp) once per
+/// resident dataset through build_shard_index — one SoA copy per shard;
+/// after that, batched scoring never touches PointD.  ScoringPolicy::Brute
+/// gives plain SoA shards.
 [[nodiscard]] std::vector<ShardIndex> make_shard_indexes(
     const std::vector<VectorShard>& shards, ScoringPolicy policy,
     std::size_t leaf_size = KdRangeIndex::kDefaultLeafSize);

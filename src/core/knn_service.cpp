@@ -848,7 +848,7 @@ namespace {
 std::optional<bool> compact_round(SegmentStore& store, const ServiceConfig& config) {
   const SegmentStore::CompactionPlan plan = store.plan_compaction(config.compaction);
   if (plan.empty()) return std::nullopt;
-  auto merged = SegmentStore::merge_segments(plan.victims, config.serve);
+  auto merged = SegmentStore::merge_segments(plan.victims, store.config());
   return store.install_compaction(plan, std::move(merged));
 }
 
@@ -1130,10 +1130,8 @@ KnnServiceBuilder& KnnServiceBuilder::live() {
   config_.live = true;
   return *this;
 }
-KnnServiceBuilder& KnnServiceBuilder::live(const ServeConfig& serve) {
-  config_.live = true;
-  config_.serve = serve;
-  serve_explicit_ = true;
+KnnServiceBuilder& KnnServiceBuilder::seal_threshold(std::size_t points) {
+  config_.seal_threshold = points;
   return *this;
 }
 KnnServiceBuilder& KnnServiceBuilder::compaction(const CompactionConfig& compaction) {
@@ -1166,7 +1164,6 @@ KnnServiceBuilder& KnnServiceBuilder::trace(std::uint64_t sample_every, std::siz
 }
 KnnServiceBuilder& KnnServiceBuilder::config(const ServiceConfig& config) {
   config_ = config;
-  serve_explicit_ = true;  // a hand-rolled config's serve knobs are verbatim
   return *this;
 }
 KnnServiceBuilder& KnnServiceBuilder::dim(std::size_t dim) {
@@ -1220,14 +1217,6 @@ KnnService KnnServiceBuilder::build() {
                                                    config_.trace_sample_every,
                                                    config_.trace_capacity);
   state->config = config_;
-  // One policy/leaf-size knob drives both modes — sealed segments build
-  // the same scoring structures the static ShardIndexes would — unless
-  // the caller handed over explicit store knobs (live(ServeConfig) /
-  // config()), which win verbatim.
-  if (!serve_explicit_) {
-    state->config.serve.policy = config_.policy;
-    state->config.serve.leaf_size = config_.leaf_size;
-  }
 
   // Assemble shards + payload tables.
   std::vector<VectorShard> shards;
@@ -1329,7 +1318,8 @@ KnnService KnnServiceBuilder::build() {
     state->indexes = std::make_shared<const std::vector<ShardIndex>>();
     state->stores.reserve(k);
     for (VectorShard& shard : shards) {
-      auto store = std::make_unique<SegmentStore>(dim, state->config.serve);
+      auto store = std::make_unique<SegmentStore>(
+          dim, ServeConfig{config_.seal_threshold, config_.policy, config_.leaf_size});
       if (!shard.points.empty()) {
         store->insert_batch(shard.points, shard.ids);
         store->seal();

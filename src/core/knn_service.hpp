@@ -121,9 +121,10 @@ struct ServiceConfig {
   /// Distributed selection algorithm for query/classify/regress (per-call
   /// override available on query/query_batch).
   KnnAlgo algo = KnnAlgo::DistKnn;
-  /// Local scoring structure per machine (static mode) or per sealed
-  /// segment (live mode, via `serve.policy` which build() syncs to this).
+  /// Local scoring structure (a ShardIndex, seq/scoring_policy.hpp) per
+  /// machine in static mode, or per sealed segment of every live store.
   ScoringPolicy policy = ScoringPolicy::Auto;
+  /// Leaf size of every KdRangeIndex those structures build.
   std::size_t leaf_size = KdRangeIndex::kDefaultLeafSize;
   /// How a flat dataset() shards over the machines.
   PartitionScheme partition = PartitionScheme::RoundRobin;
@@ -137,7 +138,10 @@ struct ServiceConfig {
   /// Live-serving mode: machines are SegmentStores (insert/erase/
   /// compact_now/snapshot_epoch available) instead of frozen ShardIndexes.
   bool live = false;
-  ServeConfig serve{};
+  /// Live mode: delta points a store buffers before sealing them into an
+  /// immutable segment (each store's ServeConfig is this plus `policy` and
+  /// `leaf_size`).
+  std::size_t seal_threshold = ServeConfig{}.seal_threshold;
   /// compact_now()'s victim-selection policy.
   CompactionConfig compaction{};
   /// Epoch-keyed result-cache entries for query/query_batch; 0 disables.
@@ -504,11 +508,11 @@ class KnnServiceBuilder {
   KnnServiceBuilder& scoring(const BatchScoringConfig& scoring);
   KnnServiceBuilder& engine(const EngineConfig& engine);
   KnnServiceBuilder& knn(const KnnConfig& knn);
-  /// Switches to live-serving mode.  The plain overload derives the
-  /// stores' scoring policy and leaf size from policy()/leaf_size(); the
-  /// ServeConfig overload takes the caller's knobs verbatim.
+  /// Switches to live-serving mode: the stores build their sealed
+  /// segments under policy()/leaf_size(), like static shards.
   KnnServiceBuilder& live();
-  KnnServiceBuilder& live(const ServeConfig& serve);
+  /// Live mode's delta size before a seal (see ServiceConfig).
+  KnnServiceBuilder& seal_threshold(std::size_t points);
   KnnServiceBuilder& compaction(const CompactionConfig& compaction);
   KnnServiceBuilder& cache_capacity(std::size_t entries);
   /// query()'s coalescing-seat knobs (see ServiceConfig).
@@ -562,10 +566,6 @@ class KnnServiceBuilder {
   std::vector<std::vector<double>> sharded_targets_;
   bool have_labels_ = false;
   bool have_targets_ = false;
-  /// True once live(ServeConfig) or config() supplied explicit store
-  /// knobs — build() then leaves serve.policy/leaf_size alone instead of
-  /// deriving them from policy()/leaf_size().
-  bool serve_explicit_ = false;
 };
 
 }  // namespace dknn

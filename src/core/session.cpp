@@ -49,13 +49,22 @@ SessionResult run_scalar_session(const std::vector<ScalarShard>& shards,
   return result;
 }
 
-SessionResult run_vector_session(const std::vector<VectorIndex>& indexes,
+SessionResult run_vector_session(const std::vector<ShardIndex>& indexes,
                                  std::span<const PointD> queries, std::uint64_t ell,
                                  const EngineConfig& engine_config,
                                  const SessionConfig& session_config) {
   DKNN_REQUIRE(!indexes.empty(), "need at least one index");
-  auto scorer = [&indexes, queries, ell](MachineId machine, std::size_t qi) {
-    return indexes[machine].top_ell(queries[qi], ell);
+  // One scratch per machine: a machine's program never runs on two threads
+  // at once, so its scorer calls never share a scratch concurrently.
+  std::vector<KernelScratch> scratch(indexes.size());
+  auto scorer = [&indexes, &scratch, queries, ell](MachineId machine, std::size_t qi) {
+    const ShardIndex& index = indexes[machine];
+    const RowRange all{0, index.store().size()};
+    std::vector<std::vector<Key>> out;
+    shard_top_ell_batch(index, std::span<const RowRange>(&all, 1), queries.subspan(qi, 1),
+                        static_cast<std::size_t>(ell), MetricKind::Euclidean, out,
+                        scratch[machine]);
+    return std::move(out[0]);
   };
   return detail::run_session(static_cast<std::uint32_t>(indexes.size()), scorer, queries.size(),
                              ell, engine_config, session_config);

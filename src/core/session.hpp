@@ -12,9 +12,9 @@
 ///
 /// Two concrete frontends share one generic core:
 ///   * run_scalar_session  — uint64 values, |v − q| distance (paper §3);
-///   * run_vector_session  — d-dimensional points under any metric, with
-///     each machine's local top-ℓ step accelerated by its k-d tree
-///     (VectorIndex) instead of a full scan.
+///   * run_vector_session  — d-dimensional points under the Euclidean
+///     metric, each machine's local top-ℓ step run through its ShardIndex
+///     (the kd-hybrid where the index carries a tree, else the fused scan).
 ///
 /// Pipelining note: consecutive Algorithm 2 instances are crosstalk-free
 /// because every follower has at most one protocol message outstanding
@@ -28,7 +28,6 @@
 
 #include "core/dist_knn.hpp"
 #include "core/driver.hpp"
-#include "core/vector_index.hpp"
 #include "election/min_id.hpp"
 #include "election/sublinear.hpp"
 #include "sim/engine.hpp"
@@ -143,11 +142,12 @@ template <typename Scorer>
                                                const EngineConfig& engine_config,
                                                const SessionConfig& session_config = {});
 
-/// Runs d-dimensional `queries` against vector shards.  Each machine's
-/// local top-ℓ step uses its k-d tree (`indexes[m]`, built once with
-/// make_vector_indexes) — O(ℓ log n_i)-ish instead of an O(n_i·d) scan —
-/// while the distributed protocol and its costs are unchanged.
-[[nodiscard]] SessionResult run_vector_session(const std::vector<VectorIndex>& indexes,
+/// Runs d-dimensional `queries` against vector shards under the Euclidean
+/// metric.  Each machine's local top-ℓ step runs shard_top_ell_batch over
+/// `indexes[m]` (built once with make_shard_indexes; ScoringPolicy::Tree
+/// prunes with the kd-hybrid instead of an O(n_i·d) scan) while the
+/// distributed protocol and its costs are unchanged.
+[[nodiscard]] SessionResult run_vector_session(const std::vector<ShardIndex>& indexes,
                                                std::span<const PointD> queries,
                                                std::uint64_t ell,
                                                const EngineConfig& engine_config,

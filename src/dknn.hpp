@@ -72,7 +72,6 @@
 #include "core/saukas_song.hpp"   // IWYU pragma: export
 #include "core/session.hpp"       // IWYU pragma: export
 #include "core/simple_knn.hpp"    // IWYU pragma: export
-#include "core/vector_index.hpp"  // IWYU pragma: export
 
 // live serving (epoch-snapshotted segment store + compaction + result cache)
 #include "serve/compactor.hpp"      // IWYU pragma: export

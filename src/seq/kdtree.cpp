@@ -1,98 +1,13 @@
 #include "seq/kdtree.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
 
-#include "data/metric.hpp"
 #include "data/validate.hpp"
 #include "support/panic.hpp"
 
 namespace dknn {
-
-KdTree::KdTree(std::vector<PointD> points, std::vector<PointId> ids)
-    : points_(std::move(points)), ids_(std::move(ids)) {
-  DKNN_REQUIRE(points_.size() == ids_.size(), "points and ids must align");
-  if (points_.empty()) return;
-  dim_ = points_[0].dim();
-  DKNN_REQUIRE(dim_ >= 1, "kd-tree needs dimension >= 1");
-  for (const auto& p : points_) {
-    DKNN_REQUIRE(p.dim() == dim_, "kd-tree: inconsistent dimensions");
-  }
-  std::vector<std::size_t> order(points_.size());
-  std::iota(order.begin(), order.end(), 0);
-  nodes_.reserve(points_.size());
-  root_ = build(order, 0);
-}
-
-std::int32_t KdTree::build(std::span<std::size_t> order, std::uint32_t depth) {
-  if (order.empty()) return -1;
-  const auto axis = static_cast<std::uint32_t>(depth % dim_);
-  const std::size_t mid = order.size() / 2;
-  std::nth_element(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(mid), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     // Tie-break on id so the build is fully deterministic.
-                     const double xa = points_[a][axis], xb = points_[b][axis];
-                     return xa != xb ? xa < xb : ids_[a] < ids_[b];
-                   });
-  const auto node_index = static_cast<std::int32_t>(nodes_.size());
-  nodes_.push_back(Node{order[mid], axis, -1, -1});
-  const std::int32_t left = build(order.subspan(0, mid), depth + 1);
-  const std::int32_t right = build(order.subspan(mid + 1), depth + 1);
-  nodes_[static_cast<std::size_t>(node_index)].left = left;
-  nodes_[static_cast<std::size_t>(node_index)].right = right;
-  return node_index;
-}
-
-std::vector<std::pair<Key, std::size_t>> KdTree::knn(const PointD& query, std::size_t ell) const {
-  last_visited_ = 0;
-  if (points_.empty() || ell == 0) return {};
-  require_query_dim(dim_, query.dim());
-  std::vector<HeapEntry> heap;  // max-heap of current best ell
-  heap.reserve(std::min(ell, points_.size()));
-  search(root_, query, ell, heap);
-  std::sort_heap(heap.begin(), heap.end());
-  std::vector<std::pair<Key, std::size_t>> out;
-  out.reserve(heap.size());
-  for (const auto& entry : heap) out.emplace_back(entry.key, entry.index);
-  return out;
-}
-
-void KdTree::search(std::int32_t node_index, const PointD& query, std::size_t ell,
-                    std::vector<HeapEntry>& heap) const {
-  if (node_index < 0) return;
-  ++last_visited_;
-  const Node& node = nodes_[static_cast<std::size_t>(node_index)];
-  const PointD& p = points_[node.point];
-
-  const EuclideanMetric metric;
-  const Key key{encode_distance(metric(p, query)), ids_[node.point]};
-  if (heap.size() < ell) {
-    heap.push_back(HeapEntry{key, node.point});
-    std::push_heap(heap.begin(), heap.end());
-  } else if (key < heap.front().key) {
-    std::pop_heap(heap.begin(), heap.end());
-    heap.back() = HeapEntry{key, node.point};
-    std::push_heap(heap.begin(), heap.end());
-  }
-
-  const double diff = query[node.axis] - p[node.axis];
-  const std::int32_t near = diff < 0 ? node.left : node.right;
-  const std::int32_t far = diff < 0 ? node.right : node.left;
-  search(near, query, ell, heap);
-
-  // Visit the far side only if the splitting plane could host a better
-  // neighbor than the current ell-th best (or the heap is not full yet).
-  const bool heap_full = heap.size() >= ell;
-  const double worst = heap_full ? decode_distance(heap.front().key.rank)
-                                 : std::numeric_limits<double>::infinity();
-  if (!heap_full || std::fabs(diff) <= worst) {
-    search(far, query, ell, heap);
-  }
-}
-
-// --- KdRangeIndex -----------------------------------------------------------
 
 KdRangeIndex::KdRangeIndex(std::span<const PointD> points, std::span<const PointId> ids,
                            std::size_t leaf_size)

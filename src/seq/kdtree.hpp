@@ -1,17 +1,18 @@
 #pragma once
 /// \file kdtree.hpp
-/// \brief k-d tree for sequential ℓ-NN queries (Bentley [2]; Friedman,
-///        Bentley & Finkel [6]).
+/// \brief Range-leaf k-d tree for sequential ℓ-NN queries (Bentley [2];
+///        Friedman, Bentley & Finkel [6]) and its tree-pruned batch kernel.
 ///
 /// The paper's related work discusses k-d trees at length: they accelerate
 /// *local computation* but cannot reduce round complexity in the k-machine
-/// model (§1.4).  We use them exactly in that role — each machine may build
-/// a k-d tree over its local shard to speed up its local-ℓ-NN step — and as
-/// the sequential baseline the micro-benchmarks compare against.
+/// model (§1.4).  We use them exactly in that role — a machine may build a
+/// KdRangeIndex over its local points to speed up its local-ℓ-NN step —
+/// always behind seq/scoring_policy.hpp's ShardIndex, which decides when a
+/// tree pays off and dispatches between the hybrid and the fused scan.
 ///
-/// Queries return (distance, id) keys under the *Euclidean* metric, with the
-/// same random-unique-id tie-breaking as every other component, so results
-/// are comparable to brute force element-for-element.
+/// Queries return (distance, id) keys under any MetricKind, with the same
+/// random-unique-id tie-breaking as every other component, so results are
+/// byte-identical to brute force element-for-element.
 
 #include <atomic>
 #include <cstdint>
@@ -58,49 +59,6 @@ struct TreeStats {
     return static_cast<double>(points_scored) /
            (static_cast<double>(queries) * static_cast<double>(n));
   }
-};
-
-class KdTree {
-public:
-  /// Builds a balanced tree by recursive median split (axis = depth mod d).
-  /// O(n log n).  `ids[i]` labels `points[i]`.
-  KdTree(std::vector<PointD> points, std::vector<PointId> ids);
-
-  /// The ℓ nearest neighbors of `query` in ascending (distance, id) order;
-  /// indices refer to the constructor's `points` vector.
-  [[nodiscard]] std::vector<std::pair<Key, std::size_t>> knn(const PointD& query,
-                                                             std::size_t ell) const;
-
-  [[nodiscard]] std::size_t size() const { return points_.size(); }
-  [[nodiscard]] std::size_t dim() const { return dim_; }
-
-  /// Number of nodes visited by the last knn() call (pruning diagnostics;
-  /// not thread-safe across concurrent queries).
-  [[nodiscard]] std::size_t last_visited() const { return last_visited_; }
-
-private:
-  struct Node {
-    std::size_t point = 0;              ///< index into points_
-    std::uint32_t axis = 0;
-    std::int32_t left = -1, right = -1; ///< node indices, -1 = leaf edge
-  };
-
-  std::int32_t build(std::span<std::size_t> order, std::uint32_t depth);
-
-  struct HeapEntry {
-    Key key;
-    std::size_t index;
-    friend bool operator<(const HeapEntry& a, const HeapEntry& b) { return a.key < b.key; }
-  };
-  void search(std::int32_t node, const PointD& query, std::size_t ell,
-              std::vector<HeapEntry>& heap) const;
-
-  std::vector<PointD> points_;
-  std::vector<PointId> ids_;
-  std::vector<Node> nodes_;
-  std::int32_t root_ = -1;
-  std::size_t dim_ = 0;
-  mutable std::size_t last_visited_ = 0;
 };
 
 /// Range-leaf kd-tree over a FlatStore — the tree half of the hybrid local
@@ -209,6 +167,8 @@ class KdRangeIndex {
 /// kernels, so (by monotonicity of rounding) it never exceeds any covered
 /// point's raw score — pruning is lossless and the output is byte-identical
 /// to fused_top_ell_batch over index.store() (fuzzed in tests/test_parity.cpp).
+/// Library scoring reaches it only through shard_top_ell_batch
+/// (seq/scoring_policy.hpp).
 void hybrid_top_ell_batch(const KdRangeIndex& index, std::span<const PointD> queries,
                           std::size_t ell, MetricKind kind,
                           std::vector<std::vector<Key>>& out, KernelScratch& scratch);

@@ -1,5 +1,7 @@
 #include "seq/scoring_policy.hpp"
 
+#include "support/panic.hpp"
+
 namespace dknn {
 
 const char* scoring_policy_name(ScoringPolicy policy) {
@@ -60,6 +62,36 @@ bool tree_pays_off(std::size_t n, std::size_t dim) {
     if (dim <= band.max_dim) return n >= band.min_n && n <= band.max_n;
   }
   return false;
+}
+
+ShardIndex build_shard_index(std::span<const PointD> points, std::span<const PointId> ids,
+                             ScoringPolicy policy, std::size_t leaf_size) {
+  DKNN_REQUIRE(points.size() == ids.size(), "shard points/ids must align");
+  const std::size_t dim = points.empty() ? 0 : points[0].dim();
+  const bool tree = dim >= 1 && (policy == ScoringPolicy::Tree ||
+                                 (policy == ScoringPolicy::Auto &&
+                                  tree_pays_off(points.size(), dim)));
+  ShardIndex index;
+  if (tree) {
+    index.tree = std::make_unique<KdRangeIndex>(points, ids, leaf_size);
+  } else {
+    index.flat = FlatStore(points, ids);
+  }
+  return index;
+}
+
+void shard_top_ell_batch(const ShardIndex& index, std::span<const RowRange> live_runs,
+                         std::span<const PointD> queries, std::size_t ell, MetricKind kind,
+                         std::vector<std::vector<Key>>& out, KernelScratch& scratch) {
+  std::size_t covered = 0;
+  for (const auto& [lo, hi] : live_runs) covered += hi - lo;
+  // The traversal scores whole leaves, so it needs every row live; a
+  // tombstoned tree segment scans its live runs until compaction rebuilds it.
+  if (index.has_tree() && covered == index.store().size()) {
+    hybrid_top_ell_batch(*index.tree, queries, ell, kind, out, scratch);
+    return;
+  }
+  fused_top_ell_ranges(index.store(), live_runs, queries, ell, kind, out, scratch);
 }
 
 }  // namespace dknn

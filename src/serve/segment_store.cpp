@@ -38,22 +38,14 @@ StoreMetrics& store_metrics() {
   return m;
 }
 
-/// Seals an AoS point set into an immutable segment under `policy`.
+/// Seals an AoS point set into an immutable segment under the store's
+/// scoring policy and leaf size.
 std::shared_ptr<const SealedSegment> build_segment(std::span<const PointD> points,
                                                    std::span<const PointId> ids,
-                                                   ScoringPolicy policy,
                                                    const ServeConfig& config) {
   auto segment = std::make_shared<SealedSegment>();
-  const std::size_t n = points.size();
-  const std::size_t dim = n == 0 ? 0 : points[0].dim();
-  const bool tree = n > 0 && dim >= 1 &&
-                    (policy == ScoringPolicy::Tree ||
-                     (policy == ScoringPolicy::Auto && tree_pays_off(n, dim)));
-  if (tree) {
-    segment->tree = std::make_unique<KdRangeIndex>(points, ids, config.leaf_size);
-  } else {
-    segment->flat = FlatStore(points, ids);
-  }
+  static_cast<ShardIndex&>(*segment) =
+      build_shard_index(points, ids, config.policy, config.leaf_size);
   const FlatStore& store = segment->store();
   segment->row_of.reserve(store.size());
   for (std::size_t i = 0; i < store.size(); ++i) {
@@ -216,7 +208,7 @@ std::uint64_t SegmentStore::seal() {
 
 void SegmentStore::seal_locked() {
   if (delta_points_.empty()) return;
-  auto data = build_segment(delta_points_, delta_ids_, config_.policy, config_);
+  auto data = build_segment(delta_points_, delta_ids_, config_);
   segments_.push_back(make_clean_view(std::move(data), next_segment_id_++));
   delta_points_.clear();
   delta_ids_.clear();
@@ -438,7 +430,7 @@ std::shared_ptr<const SealedSegment> SegmentStore::merge_segments(
     }
   }
   if (points.empty()) return nullptr;
-  return build_segment(points, ids, config.policy, config);
+  return build_segment(points, ids, config);
 }
 
 std::uint64_t SegmentStore::mirror_copied_bytes() const {
@@ -510,17 +502,9 @@ void snapshot_top_ell_batch(const ServeSnapshot& snapshot, std::span<const Point
   std::vector<std::vector<Key>> segment_keys;
   for (const SegmentView& seg : snapshot.segments) {
     if (seg.live() == 0) continue;
-    // A clean segment with a kd-tree runs the hybrid; every other segment
-    // runs the batched kernel over its live row runs (all of [0, n) when
-    // clean).  Skipping dead rows is just a range decomposition, which
-    // changes no byte; compaction restores a tombstoned tree segment to
-    // the hybrid.
-    if (seg.dead_count == 0 && seg.data->tree != nullptr) {
-      hybrid_top_ell_batch(*seg.data->tree, queries, ell, kind, segment_keys, scratch);
-    } else {
-      fused_top_ell_ranges(seg.data->store(), *seg.live_runs, queries, ell, kind, segment_keys,
-                           scratch);
-    }
+    // Skipping dead rows is just a range decomposition, which changes no
+    // byte; compaction restores a tombstoned tree segment to the hybrid.
+    shard_top_ell_batch(*seg.data, *seg.live_runs, queries, ell, kind, segment_keys, scratch);
     for (std::size_t q = 0; q < queries.size(); ++q) {
       candidates[q].insert(candidates[q].end(), segment_keys[q].begin(), segment_keys[q].end());
     }

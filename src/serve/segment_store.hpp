@@ -13,9 +13,10 @@
 ///
 ///   * writes land in a small append-friendly **delta** buffer;
 ///   * when the delta reaches `ServeConfig::seal_threshold` it is
-///     **sealed** into an immutable segment — a `FlatStore` (plus a
-///     `KdRangeIndex` when the `ScoringPolicy` says trees pay off) that
-///     the fused/SIMD/kd-hybrid batch kernels score at full speed;
+///     **sealed** into an immutable segment — a `ShardIndex` (a
+///     `FlatStore`, plus a `KdRangeIndex` when the `ScoringPolicy` says
+///     trees pay off) that the fused/SIMD/kd-hybrid batch kernels score at
+///     full speed;
 ///   * deletes **tombstone** rows of sealed segments via copy-on-write
 ///     bitmaps (the heavy coordinate arrays are never copied);
 ///   * every mutation publishes a new immutable `ServeSnapshot` under a
@@ -52,7 +53,6 @@
 #include "data/key.hpp"
 #include "data/metric_kind.hpp"
 #include "data/point.hpp"
-#include "seq/kdtree.hpp"
 #include "seq/scoring_policy.hpp"
 
 namespace dknn {
@@ -63,26 +63,23 @@ struct ServeConfig {
   std::size_t seal_threshold = 1024;
   /// Scoring structure built per sealed segment (the delta mirror is
   /// always a plain FlatStore — it is rebuilt too often to amortize a
-  /// tree).  Auto applies tree_pays_off per segment.
+  /// tree).  Auto applies tree_pays_off per segment (build_shard_index).
   ScoringPolicy policy = ScoringPolicy::Auto;
   /// Leaf size of per-segment KdRangeIndexes.
   std::size_t leaf_size = KdRangeIndex::kDefaultLeafSize;
 };
 
-/// One sealed segment's heavy immutable payload.  Built once (at seal or
-/// compaction time, possibly on a background thread) and shared by every
-/// snapshot that references it.
-struct SealedSegment {
-  FlatStore flat;                      ///< engaged iff tree == nullptr
-  std::unique_ptr<KdRangeIndex> tree;  ///< engaged iff the tree path won
+/// One sealed segment's heavy immutable payload: the segment's ShardIndex
+/// (seq/scoring_policy.hpp — the same structures a static shard builds,
+/// scored through the same dispatch) plus its id map.  Built once (at seal
+/// or compaction time, possibly on a background thread) and shared by
+/// every snapshot that references it.
+struct SealedSegment : ShardIndex {
   /// id → row of store() — erase/contains lookups without scans.  Left
   /// empty on the delta mirror (ServeSnapshot::contains scans it instead;
   /// filling it would cost O(delta) per publish, defeating the O(d)
   /// incremental mirror).
   std::unordered_map<PointId, std::uint32_t> row_of;
-
-  /// The store queries scan (the tree's reordered mirror when present).
-  [[nodiscard]] const FlatStore& store() const { return tree ? tree->store() : flat; }
 };
 
 /// Maximal [lo, hi) row ranges of live (non-tombstoned) points.
@@ -297,9 +294,9 @@ class SegmentStore {
 };
 
 /// Scores `queries` against the snapshot's live set, fused with bounded
-/// top-ℓ selection: each segment runs the batched kernel over its live
-/// row runs (fused_top_ell_ranges) — clean tree-carrying segments run the
-/// kd-hybrid instead — and the per-segment winners merge into each
+/// top-ℓ selection: each segment runs shard_top_ell_batch over its live
+/// row runs (the kd-hybrid on a clean tree-carrying segment, the batched
+/// range kernel otherwise), and the per-segment winners merge into each
 /// query's global top-ℓ.  `out` is resized to queries.size(); out[q]
 /// holds min(ℓ, live) keys ascending.
 /// Byte-identical to fused_top_ell_batch over a FlatStore rebuilt from

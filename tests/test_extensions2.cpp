@@ -1,6 +1,5 @@
-// Tests for the second batch of extensions: distributed quantiles,
-// k-d-tree-accelerated local scoring (VectorIndex), and distance-weighted
-// classification.
+// Tests for the second batch of extensions: distributed quantiles and
+// distance-weighted classification.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 
 #include "core/driver.hpp"
 #include "core/mlapi.hpp"
-#include "core/vector_index.hpp"
 #include "data/generators.hpp"
 #include "rng/rng.hpp"
 #include "sim/engine.hpp"
@@ -76,61 +74,6 @@ TEST(Quantile, TinyDataset) {
   const auto result = run_quantile(shards, 0.5, engine_for(5));
   EXPECT_EQ(result.value, (Key{42, 1}));
   EXPECT_EQ(result.rank, 1u);
-}
-
-// --- VectorIndex (k-d tree local acceleration) ---------------------------------------
-
-TEST(VectorIndex, ProtocolResultsIdenticalToBruteScoring) {
-  constexpr std::uint32_t k = 6;
-  Rng rng(10);
-  auto points = uniform_points(1200, 3, 100.0, rng);
-  auto shards = make_vector_shards(points, k, PartitionScheme::Random, rng);
-  const auto indexes = make_vector_indexes(shards);
-
-  for (std::uint64_t qseed = 0; qseed < 5; ++qseed) {
-    Rng qrng = rng.split(qseed);
-    const PointD query = uniform_points(1, 3, 120.0, qrng)[0];
-    for (std::uint64_t ell : {1u, 16u, 200u}) {
-      auto brute = score_vector_shards(shards, query, EuclideanMetric{});
-      auto fast = score_indexed_shards(indexes, query, ell);
-      const auto brute_result = run_knn(brute, ell, KnnAlgo::DistKnn, engine_for(qseed));
-      const auto fast_result = run_knn(fast, ell, KnnAlgo::DistKnn, engine_for(qseed));
-      EXPECT_EQ(fast_result.keys, brute_result.keys) << "ell=" << ell << " q=" << qseed;
-    }
-  }
-}
-
-TEST(VectorIndex, TopEllIsLocalTruth) {
-  Rng rng(11);
-  auto points = uniform_points(500, 2, 50.0, rng);
-  VectorShard shard;
-  shard.points = points;
-  Rng id_rng(12);
-  shard.ids = assign_random_ids(points.size(), id_rng);
-  const VectorIndex index(shard);
-  const PointD query({1.0, 2.0});
-  auto got = index.top_ell(query, 20);
-  auto want = score_vector_shard(shard, query, EuclideanMetric{});
-  std::sort(want.begin(), want.end());
-  want.resize(20);
-  EXPECT_EQ(got, want);
-}
-
-TEST(VectorIndex, EllBeyondShardSize) {
-  Rng rng(13);
-  auto points = uniform_points(5, 2, 10.0, rng);
-  VectorShard shard;
-  shard.points = points;
-  Rng id_rng(14);
-  shard.ids = assign_random_ids(points.size(), id_rng);
-  const VectorIndex index(shard);
-  EXPECT_EQ(index.top_ell(PointD({0.0, 0.0}), 100).size(), 5u);
-}
-
-TEST(VectorIndex, EmptyShard) {
-  VectorShard shard;  // no points
-  const VectorIndex index(shard);
-  EXPECT_TRUE(index.top_ell(PointD({0.0}), 3).empty());
 }
 
 // --- distance-weighted voting ----------------------------------------------------------

@@ -1,6 +1,7 @@
 // Tests for src/seq: quickselect and median-of-medians against
-// std::nth_element (parameterized sweeps), top_ell, the k-d tree against
-// brute force under several dimensions, and the weighted median.
+// std::nth_element (parameterized sweeps), top_ell, the ShardIndex builder
+// and its local top-ℓ dispatch, the kd-hybrid's counters and degenerate
+// shapes, and the weighted median.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "data/generators.hpp"
 #include "data/ids.hpp"
 #include "data/key.hpp"
+#include "data/validate.hpp"
 #include "rng/rng.hpp"
 #include "seq/brute.hpp"
 #include "seq/kdtree.hpp"
@@ -180,79 +182,76 @@ TEST(Brute, VectorMetricVariants) {
   for (std::size_t i = 0; i < euc.size(); ++i) EXPECT_EQ(euc[i].index, sq[i].index);
 }
 
-// --- k-d tree ---------------------------------------------------------------------------
+// --- ShardIndex: the one local index --------------------------------------------------
 
-class KdTreeSweep : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
-
-TEST_P(KdTreeSweep, MatchesBruteForce) {
-  const auto [n, dim] = GetParam();
-  Rng rng(30 + n + dim);
-  auto points = uniform_points(n, dim, 100.0, rng);
-  auto ids = assign_random_ids(n, rng);
-  KdTree tree(points, ids);
-  for (int q = 0; q < 5; ++q) {
-    auto query_pt = uniform_points(1, dim, 120.0, rng)[0];
-    for (std::size_t ell : {std::size_t{1}, std::size_t{5}, n / 2, n}) {
-      if (ell == 0) continue;
-      auto expected =
-          brute_force_knn(std::span<const PointD>(points), ids, query_pt, EuclideanMetric{}, ell);
-      auto got = tree.knn(query_pt, ell);
-      ASSERT_EQ(got.size(), expected.size()) << "n=" << n << " dim=" << dim << " ell=" << ell;
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].first, expected[i].key) << "rank " << i;
-        EXPECT_EQ(got[i].second, expected[i].index) << "rank " << i;
-      }
-    }
-  }
+TEST(ShardIndex, BuildFollowsPolicy) {
+  Rng rng(35);
+  const auto points = uniform_points(4096, 2, 100.0, rng);
+  const auto ids = assign_random_ids(points.size(), rng);
+  EXPECT_FALSE(build_shard_index(points, ids, ScoringPolicy::Brute).has_tree());
+  const ShardIndex tree = build_shard_index(points, ids, ScoringPolicy::Tree, 16);
+  ASSERT_TRUE(tree.has_tree());
+  EXPECT_EQ(tree.tree->leaf_size(), 16u);
+  EXPECT_EQ(&tree.store(), &tree.tree->store());
+  EXPECT_EQ(tree.store().size(), points.size());
+  // Auto defers to tree_pays_off: d = 2 pays at 4096 rows, not at 1024.
+  EXPECT_TRUE(build_shard_index(points, ids, ScoringPolicy::Auto).has_tree());
+  const std::span<const PointD> few(points.data(), 1024);
+  const std::span<const PointId> few_ids(ids.data(), 1024);
+  EXPECT_FALSE(build_shard_index(few, few_ids, ScoringPolicy::Auto).has_tree());
+  // An empty set never builds a tree.
+  const ShardIndex empty = build_shard_index({}, {}, ScoringPolicy::Tree);
+  EXPECT_FALSE(empty.has_tree());
+  EXPECT_TRUE(empty.store().empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(SizesAndDims, KdTreeSweep,
-                         ::testing::Combine(::testing::Values(1u, 2u, 17u, 128u, 500u),
-                                            ::testing::Values(1u, 2u, 3u, 8u)));
+TEST(ShardIndex, DispatchTraversesOnlyWhenRunsCoverEveryRow) {
+  // Every row live: the kd-hybrid runs (its counters advance).  Partial
+  // runs: the range kernel scans just those rows.  Both match the fused
+  // kernel over the same rows byte for byte.
+  Rng rng(36);
+  const std::size_t n = 2048;
+  const auto points = uniform_points(n, 3, 100.0, rng);
+  const auto ids = assign_random_ids(n, rng);
+  const ShardIndex index = build_shard_index(points, ids, ScoringPolicy::Tree, 32);
+  const auto queries = uniform_points(4, 3, 100.0, rng);
+  KernelScratch scratch;
+  std::vector<std::vector<Key>> got;
+  std::vector<std::vector<Key>> want;
 
-TEST(KdTree, EmptyTree) {
-  KdTree tree({}, {});
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_TRUE(tree.knn(PointD({1.0}), 3).empty());
+  const RowRange all{0, n};
+  shard_top_ell_batch(index, std::span<const RowRange>(&all, 1), queries, 10,
+                      MetricKind::Euclidean, got, scratch);
+  EXPECT_EQ(index.tree->stats().queries, queries.size());
+  fused_top_ell_batch(index.store(), queries, 10, MetricKind::Euclidean, want, scratch);
+  EXPECT_EQ(got, want);
+
+  const std::vector<RowRange> runs = {{0, 100}, {300, n}};
+  shard_top_ell_batch(index, runs, queries, 10, MetricKind::Euclidean, got, scratch);
+  EXPECT_EQ(index.tree->stats().queries, queries.size());  // no second traversal
+  fused_top_ell_ranges(index.store(), runs, queries, 10, MetricKind::Euclidean, want,
+                       scratch);
+  EXPECT_EQ(got, want);
 }
 
-TEST(KdTree, EllZero) {
-  Rng rng(31);
-  auto points = uniform_points(10, 2, 1.0, rng);
-  auto ids = assign_random_ids(10, rng);
-  KdTree tree(points, ids);
-  EXPECT_TRUE(tree.knn(points[0], 0).empty());
-}
-
-TEST(KdTree, DimensionMismatchThrows) {
-  Rng rng(32);
-  auto points = uniform_points(10, 2, 1.0, rng);
-  auto ids = assign_random_ids(10, rng);
-  KdTree tree(points, ids);
-  EXPECT_THROW((void)tree.knn(PointD({1.0, 2.0, 3.0}), 1), InvariantError);
-}
-
-TEST(KdTree, PruningActuallyPrunes) {
-  // On clustered data with a small ell, the tree should visit far fewer
-  // nodes than brute force would score.
-  Rng rng(33);
-  auto points = uniform_points(4096, 2, 1000.0, rng);
-  auto ids = assign_random_ids(points.size(), rng);
-  KdTree tree(points, ids);
-  (void)tree.knn(PointD({0.0, 0.0}), 1);
-  EXPECT_LT(tree.last_visited(), points.size() / 2);
-}
-
-TEST(KdTree, DuplicatePointsHandled) {
-  Rng rng(34);
-  std::vector<PointD> points(20, PointD({1.0, 1.0}));  // all identical
-  auto ids = assign_random_ids(points.size(), rng);
-  KdTree tree(points, ids);
-  auto got = tree.knn(PointD({1.0, 1.0}), 5);
-  ASSERT_EQ(got.size(), 5u);
-  // ties broken by id ascending
-  for (std::size_t i = 1; i < got.size(); ++i) {
-    EXPECT_LT(got[i - 1].first.id, got[i].first.id);
+TEST(ShardIndex, DispatchEllZeroAndDimensionMismatch) {
+  Rng rng(37);
+  const auto points = uniform_points(64, 2, 1.0, rng);
+  const auto ids = assign_random_ids(points.size(), rng);
+  for (const ScoringPolicy policy : {ScoringPolicy::Brute, ScoringPolicy::Tree}) {
+    SCOPED_TRACE(scoring_policy_name(policy));
+    const ShardIndex index = build_shard_index(points, ids, policy, 4);
+    const RowRange all{0, points.size()};
+    KernelScratch scratch;
+    std::vector<std::vector<Key>> out;
+    shard_top_ell_batch(index, std::span<const RowRange>(&all, 1), points, 0,
+                        MetricKind::Euclidean, out, scratch);
+    ASSERT_EQ(out.size(), points.size());
+    for (const auto& keys : out) EXPECT_TRUE(keys.empty());
+    const std::vector<PointD> bad = {PointD({1.0, 2.0, 3.0})};
+    EXPECT_THROW(shard_top_ell_batch(index, std::span<const RowRange>(&all, 1), bad, 1,
+                                     MetricKind::Euclidean, out, scratch),
+                 DimensionMismatchError);
   }
 }
 

@@ -444,7 +444,8 @@ TEST(ServeFacade, OneMachineCacheHitsAreByteIdenticalAndEpochKeyed) {
                            .ell(5)
                            .metric(MetricKind::Euclidean)
                            .dim(3)
-                           .live(ServeConfig{.seal_threshold = 16})
+                           .live()
+                           .seal_threshold(16)
                            .coalesce(4)
                            .cache_capacity(64)
                            .build();
@@ -490,7 +491,10 @@ TEST(ServeFacade, OneMachineQueryBatchMatchesOracle) {
           .ell(7)
           .metric(MetricKind::Manhattan)
           .dim(2)
-          .live(ServeConfig{.seal_threshold = 8, .policy = ScoringPolicy::Tree, .leaf_size = 4})
+          .policy(ScoringPolicy::Tree)
+          .leaf_size(4)
+          .live()
+          .seal_threshold(8)
           .build();  // cache disabled
   auto live = seed_store(service, 30, 2, 1, rng);
   ASSERT_TRUE(service.erase(5).has_value());

@@ -268,7 +268,8 @@ TEST(ServiceLifecycle, HeldQueryResultIsStableAcrossCompaction) {
   KnnService service = KnnServiceBuilder()
                            .machines(2)
                            .ell(8)
-                           .live(ServeConfig{.seal_threshold = 32})
+                           .live()
+                           .seal_threshold(32)
                            .compaction(CompactionConfig{.max_dead_fraction = 0.01,
                                                         .min_segment_points = 64})
                            .dataset(std::move(points))
@@ -425,33 +426,44 @@ TEST(ServiceCache, OverriddenCallsNeverCollideWithCanonicalEntries) {
   EXPECT_EQ(stats.cache_misses, 3u);
 }
 
-TEST(ServiceLifecycle, ExplicitServeConfigIsNotClobbered) {
-  // live(ServeConfig) hands the store knobs over verbatim; only the plain
-  // live() derives them from policy()/leaf_size().
+TEST(ServiceLifecycle, PolicyLeafSizeAndSealThresholdReachEveryLiveStore) {
+  // A live service's stores take their scoring policy and leaf size from
+  // the same builder knobs as static shards, and their seal threshold from
+  // seal_threshold().  Each knob has its own observable, so dropping any
+  // one of them fails here.
+  constexpr std::size_t kMachines = 3;
+  constexpr std::size_t kPerMachine = 20;
+  constexpr std::size_t kSeal = 8;
+  constexpr std::size_t kLeaf = 4;
   Rng rng(19);
   KnnService service = KnnServiceBuilder()
-                           .machines(2)
-                           .ell(2)
-                           .policy(ScoringPolicy::Auto)
-                           .live(ServeConfig{.seal_threshold = 99,
-                                             .policy = ScoringPolicy::Brute,
-                                             .leaf_size = 5})
-                           .dataset(make_points(30, 2, rng))
-                           .build();
-  EXPECT_EQ(service.config().serve.policy, ScoringPolicy::Brute);
-  EXPECT_EQ(service.config().serve.leaf_size, 5u);
-  EXPECT_EQ(service.config().serve.seal_threshold, 99u);
-
-  KnnService derived = KnnServiceBuilder()
-                           .machines(2)
-                           .ell(2)
+                           .machines(kMachines)
+                           .ell(4)
                            .policy(ScoringPolicy::Tree)
-                           .leaf_size(9)
+                           .leaf_size(kLeaf)
                            .live()
+                           .seal_threshold(kSeal)
                            .dim(2)
                            .build();
-  EXPECT_EQ(derived.config().serve.policy, ScoringPolicy::Tree);
-  EXPECT_EQ(derived.config().serve.leaf_size, 9u);
+  const auto points = make_points(kMachines * kPerMachine, 2, rng);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    (void)service.insert(points[i], static_cast<PointId>(i + 1));
+  }
+  // Round-robin inserts: every store sealed ⌊20 / 8⌋ = 2 segments and
+  // keeps 4 points in its (never tree-indexed) delta.
+  const std::size_t sealed = kMachines * (kPerMachine / kSeal);
+  EXPECT_EQ(service.segment_count(), sealed);
+
+  const auto queries = make_points(5, 2, rng);
+  (void)service.query_batch(queries);
+  const TreeStats tree = service.stats().tree;
+  // Tree policy: every sealed segment of every store traverses a kd-tree
+  // for every query (Auto would route 8-row segments to the scan).
+  EXPECT_EQ(tree.queries, queries.size() * sealed);
+  // Leaf size 4: an 8-row segment splits into leaves of at most 4 rows
+  // (the default leaf would score all 8 rows as one leaf).
+  EXPECT_GT(tree.leaves_scored, 0u);
+  EXPECT_LE(tree.points_scored, kLeaf * tree.leaves_scored);
 }
 
 TEST(ServiceLifecycle, LiveIdsAndContainsExposeResidentMembership) {
@@ -652,7 +664,8 @@ TEST(ServiceParityFuzz, LiveMutationsTrackTheFreeStores) {
     KnnService service = KnnServiceBuilder()
                              .ell(fc.ell)
                              .policy(ScoringPolicy::Auto)
-                             .live(serve)
+                             .live()
+                             .seal_threshold(serve.seal_threshold)
                              .dim(fc.dim)
                              .dataset_sharded(fc.shards)
                              .build();

@@ -148,23 +148,30 @@ TEST(Session, DeterministicForSeed) {
   }
 }
 
-// --- vector sessions (k-d tree accelerated) -----------------------------------------
+// --- vector sessions (ShardIndex scored: fused scan or kd-hybrid) -------------------
+
+// Both local index shapes; the small leaf makes the Tree indexes prune.
+constexpr ScoringPolicy kSessionPolicies[] = {ScoringPolicy::Brute, ScoringPolicy::Tree};
+constexpr std::size_t kSessionLeaf = 8;
 
 TEST(VectorSession, MatchesBruteScoredRuns) {
   constexpr std::uint32_t k = 6;
   Rng rng(30);
   auto points = uniform_points(900, 3, 80.0, rng);
   auto shards = make_vector_shards(points, k, PartitionScheme::Random, rng);
-  const auto indexes = make_vector_indexes(shards);
   auto queries = uniform_points(7, 3, 90.0, rng);
 
   constexpr std::uint64_t ell = 25;
-  const auto session =
-      run_vector_session(indexes, queries, ell, engine_for(31));
-  ASSERT_EQ(session.queries.size(), queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    auto scored = score_vector_shards(shards, queries[q], EuclideanMetric{});
-    EXPECT_EQ(session.queries[q].keys, expected_smallest(scored, ell)) << "query " << q;
+  for (const ScoringPolicy policy : kSessionPolicies) {
+    const auto indexes = make_shard_indexes(shards, policy, kSessionLeaf);
+    const auto session =
+        run_vector_session(indexes, queries, ell, engine_for(31));
+    ASSERT_EQ(session.queries.size(), queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      auto scored = score_vector_shards(shards, queries[q], EuclideanMetric{});
+      EXPECT_EQ(session.queries[q].keys, expected_smallest(scored, ell))
+          << scoring_policy_name(policy) << " query " << q;
+    }
   }
 }
 
@@ -173,15 +180,18 @@ TEST(VectorSession, ElectionIntegration) {
   Rng rng(32);
   auto points = uniform_points(450, 2, 50.0, rng);
   auto shards = make_vector_shards(points, k, PartitionScheme::Random, rng);
-  const auto indexes = make_vector_indexes(shards);
   auto queries = uniform_points(3, 2, 50.0, rng);
   SessionConfig config;
   config.election = ElectionProtocol::Sublinear;
-  const auto session = run_vector_session(indexes, queries, 12, engine_for(33), config);
-  EXPECT_LT(session.leader, k);
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    auto scored = score_vector_shards(shards, queries[q], EuclideanMetric{});
-    EXPECT_EQ(session.queries[q].keys, expected_smallest(scored, 12)) << "query " << q;
+  for (const ScoringPolicy policy : kSessionPolicies) {
+    const auto indexes = make_shard_indexes(shards, policy, kSessionLeaf);
+    const auto session = run_vector_session(indexes, queries, 12, engine_for(33), config);
+    EXPECT_LT(session.leader, k);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      auto scored = score_vector_shards(shards, queries[q], EuclideanMetric{});
+      EXPECT_EQ(session.queries[q].keys, expected_smallest(scored, 12))
+          << scoring_policy_name(policy) << " query " << q;
+    }
   }
 }
 
@@ -191,12 +201,36 @@ TEST(VectorSession, EmptyShardsMixedIn) {
   Rng rng(34);
   shards[1].points = uniform_points(40, 2, 10.0, rng);
   shards[1].ids = assign_random_ids(40, rng);
-  const auto indexes = make_vector_indexes(shards);
   auto queries = uniform_points(2, 2, 10.0, rng);
-  const auto session = run_vector_session(indexes, queries, 5, engine_for(35));
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    auto scored = score_vector_shards(shards, queries[q], EuclideanMetric{});
-    EXPECT_EQ(session.queries[q].keys, expected_smallest(scored, 5)) << "query " << q;
+  for (const ScoringPolicy policy : kSessionPolicies) {
+    const auto indexes = make_shard_indexes(shards, policy, kSessionLeaf);
+    const auto session = run_vector_session(indexes, queries, 5, engine_for(35));
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      auto scored = score_vector_shards(shards, queries[q], EuclideanMetric{});
+      EXPECT_EQ(session.queries[q].keys, expected_smallest(scored, 5))
+          << scoring_policy_name(policy) << " query " << q;
+    }
+  }
+}
+
+TEST(VectorSession, ParallelExecutorMatchesSequential) {
+  // Machines score on pool threads, each through its own kernel scratch.
+  Rng rng(36);
+  auto points = uniform_points(1200, 4, 40.0, rng);
+  auto shards = make_vector_shards(points, 8, PartitionScheme::Random, rng);
+  auto queries = uniform_points(6, 4, 40.0, rng);
+  auto par_config = engine_for(37);
+  par_config.parallel = true;
+  par_config.threads = 4;
+  for (const ScoringPolicy policy : kSessionPolicies) {
+    const auto indexes = make_shard_indexes(shards, policy, kSessionLeaf);
+    const auto seq = run_vector_session(indexes, queries, 16, engine_for(37));
+    const auto par = run_vector_session(indexes, queries, 16, par_config);
+    ASSERT_EQ(seq.queries.size(), par.queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(seq.queries[q].keys, par.queries[q].keys)
+          << scoring_policy_name(policy) << " query " << q;
+    }
   }
 }
 
